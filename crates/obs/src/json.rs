@@ -11,6 +11,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a hostile document
+/// (200 000 `[`) overflow the stack; the workspace's own documents nest
+/// fewer than 10 levels, and telemetry spans take two levels each.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -184,11 +190,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on any syntax error or trailing garbage.
+    /// Returns [`JsonError`] on any syntax error, trailing garbage, or
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> JsonResult<Value> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -247,6 +255,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -294,14 +304,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(JsonError::new(format!(
                 "unexpected input at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> JsonResult<Value>) -> JsonResult<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> JsonResult<Value> {
@@ -664,5 +687,52 @@ mod tests {
     fn object_order_is_preserved() {
         let v = Value::object(vec![("z", Value::Num(1.0)), ("a", Value::Num(2.0))]);
         assert_eq!(v.to_compact(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = 200_000;
+        let cases = [
+            "[".repeat(deep),
+            format!("{}{}", "[".repeat(deep), "]".repeat(deep)),
+            "{\"a\":".repeat(deep),
+            format!("{}1{}", "{\"a\":".repeat(deep), "}".repeat(deep)),
+        ];
+        for text in &cases {
+            let err = Value::parse(text).unwrap_err();
+            assert!(err.reason.contains("nesting"), "{}", err.reason);
+        }
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Depth unwinds as containers close: siblings may each reach it.
+        let inner = nest(MAX_DEPTH - 1);
+        assert!(Value::parse(&format!("[{inner},{inner}]")).is_ok());
+    }
+
+    /// The limit must leave every document the workspace commits
+    /// parseable: the `BENCH*.json` records and the golden fixtures.
+    #[test]
+    fn committed_json_documents_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut parsed = 0;
+        for (dir, prefix) in [(root.clone(), "BENCH"), (root.join("tests/fixtures"), "")] {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if name.starts_with(prefix) && name.ends_with(".json") {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    if let Err(e) = Value::parse(&text) {
+                        panic!("{} does not parse: {e}", path.display());
+                    }
+                    parsed += 1;
+                }
+            }
+        }
+        assert!(parsed >= 19, "only {parsed} documents found");
     }
 }

@@ -1,6 +1,6 @@
 use crate::{Result, VpError};
 use bprom_ckpt::{CkptError, Decoder, Encoder};
-use bprom_tensor::{Rng, Tensor};
+use bprom_tensor::{Rng, Tensor, TensorError};
 
 /// A trainable visual prompt: additive border noise around a downscaled
 /// target image (paper Figure 1a).
@@ -30,15 +30,9 @@ pub struct VisualPrompt {
     style: PromptStyle,
 }
 
-/// Bilinear image resize `[c, h, h] → [c, t, t]`.
-pub(crate) fn resize(image: &Tensor, to: usize) -> Result<Tensor> {
-    if image.rank() != 3 {
-        return Err(VpError::InvalidConfig {
-            reason: format!("resize expects [c, h, w], got {:?}", image.shape()),
-        });
-    }
-    let (c, h, w) = (image.shape()[0], image.shape()[1], image.shape()[2]);
-    let mut out = Tensor::zeros(&[c, to, to]);
+/// Bilinear resize of one row-major `[c, h, w]` image in `src` into the
+/// `[c, to, to]` slice `dst`.
+fn resize_into(src: &[f32], c: usize, h: usize, w: usize, to: usize, dst: &mut [f32]) {
     for ci in 0..c {
         for y in 0..to {
             for x in 0..to {
@@ -49,14 +43,13 @@ pub(crate) fn resize(image: &Tensor, to: usize) -> Result<Tensor> {
                 let (y0, x0) = (sy as usize, sx as usize);
                 let (y1, x1) = ((y0 + 1).min(h - 1), (x0 + 1).min(w - 1));
                 let (fy, fx) = (sy - y0 as f32, sx - x0 as f32);
-                let px = |yy: usize, xx: usize| image.data()[(ci * h + yy) * w + xx];
+                let px = |yy: usize, xx: usize| src[(ci * h + yy) * w + xx];
                 let top = px(y0, x0) * (1.0 - fx) + px(y0, x1) * fx;
                 let bot = px(y1, x0) * (1.0 - fx) + px(y1, x1) * fx;
-                out.data_mut()[(ci * to + y) * to + x] = top * (1.0 - fy) + bot * fy;
+                dst[(ci * to + y) * to + x] = top * (1.0 - fy) + bot * fy;
             }
         }
     }
-    Ok(out)
 }
 
 impl VisualPrompt {
@@ -146,6 +139,129 @@ impl VisualPrompt {
         mask
     }
 
+    /// Side length `k` of the canvas that [`VisualPrompt::canvas`] resizes
+    /// target images to: the inner window for Pad, the full source canvas
+    /// for Overlay.
+    fn canvas_size(&self) -> usize {
+        match self.style {
+            PromptStyle::Pad => self.inner_size(),
+            PromptStyle::Overlay => self.source_size,
+        }
+    }
+
+    /// The θ-independent half of prompting: resizes a batch of target
+    /// images `[n, c, t, t]` to the canvas `[n, c, k, k]`
+    /// (`k = canvas_size()`). A prompt search builds this once and
+    /// applies each candidate θ to it with [`VisualPrompt::apply_canvas`];
+    /// the canvas depends only on the geometry and style, never on θ.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VpError::InvalidConfig`] if `images` is not rank 4, has a
+    /// channel count other than the prompt's, or has an empty image plane,
+    /// and [`VpError::Tensor`] on an empty batch.
+    pub(crate) fn canvas(&self, images: &Tensor) -> Result<Tensor> {
+        if images.rank() != 4 {
+            return Err(VpError::InvalidConfig {
+                reason: format!("prompt expects [n, c, t, t], got {:?}", images.shape()),
+            });
+        }
+        let (n, c, h, w) = (
+            images.shape()[0],
+            images.shape()[1],
+            images.shape()[2],
+            images.shape()[3],
+        );
+        if n == 0 {
+            return Err(TensorError::InvalidShape {
+                reason: "cannot prompt an empty batch".to_string(),
+            }
+            .into());
+        }
+        if c != self.channels || h == 0 || w == 0 {
+            return Err(VpError::InvalidConfig {
+                reason: format!(
+                    "prompt expects [{}, t, t] images, got {:?}",
+                    self.channels,
+                    &images.shape()[1..]
+                ),
+            });
+        }
+        let k = self.canvas_size();
+        let mut out = vec![0.0f32; n * c * k * k];
+        for (src, dst) in images
+            .data()
+            .chunks_exact(c * h * w)
+            .zip(out.chunks_exact_mut(c * k * k))
+        {
+            resize_into(src, c, h, w, k, dst);
+        }
+        Ok(Tensor::from_vec(out, &[n, c, k, k])?)
+    }
+
+    /// The θ half of prompting: `V(x | θ)` for every canvas in a
+    /// `[n, c, k, k]` batch built by [`VisualPrompt::canvas`], giving
+    /// `[n, c, s, s]`. Overlay adds `θ ⊙ mask` and clamps to `[0, 1]`; Pad
+    /// writes the clamped θ and copies the canvas into the inner window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VpError::InvalidConfig`] if `canvas` is not a non-empty
+    /// `[n, c, k, k]` batch for this prompt.
+    pub(crate) fn apply_canvas(&self, canvas: &Tensor) -> Result<Tensor> {
+        let (c, k, s) = (self.channels, self.canvas_size(), self.source_size);
+        if canvas.rank() != 4 || canvas.shape()[0] == 0 || canvas.shape()[1..] != [c, k, k] {
+            return Err(VpError::InvalidConfig {
+                reason: format!(
+                    "prompt canvas must be [n, {c}, {k}, {k}], got {:?}",
+                    canvas.shape()
+                ),
+            });
+        }
+        let n = canvas.shape()[0];
+        let mut out = Vec::with_capacity(n * c * s * s);
+        match self.style {
+            PromptStyle::Pad => {
+                let mut frame = self.theta.clone();
+                frame.clamp_in_place(0.0, 1.0);
+                let b = self.border;
+                for img in canvas.data().chunks_exact(c * k * k) {
+                    let start = out.len();
+                    out.extend_from_slice(frame.data());
+                    let dst = &mut out[start..];
+                    for (ci, plane) in img.chunks_exact(k * k).enumerate() {
+                        for (y, row) in plane.chunks_exact(k).enumerate() {
+                            let at = (ci * s + y + b) * s + b;
+                            dst[at..at + k].copy_from_slice(row);
+                        }
+                    }
+                }
+            }
+            PromptStyle::Overlay => {
+                // θ ⊙ mask is the same for every image. The products are
+                // formed over the whole canvas, interior included, so signed
+                // zeros and any non-finite interior θ reach the output
+                // exactly as the per-pixel `(x + θ·m).clamp(0, 1)` has them.
+                let mask = self.border_mask();
+                let frame: Vec<f32> = self
+                    .theta
+                    .data()
+                    .iter()
+                    .zip(mask.data())
+                    .map(|(&t, &m)| t * m)
+                    .collect();
+                for img in canvas.data().chunks_exact(c * s * s) {
+                    out.extend(
+                        img.iter()
+                            .zip(&frame)
+                            .map(|(&x, &tm)| (x + tm).clamp(0.0, 1.0)),
+                    );
+                }
+            }
+        }
+        Ok(Tensor::from_vec(out, &[n, c, s, s])?)
+    }
+
     /// Prompts one target image: `V(x | θ)`.
     ///
     /// # Errors
@@ -153,7 +269,7 @@ impl VisualPrompt {
     /// Returns an error if the image is not `[c, t, t]` with the prompt's
     /// channel count.
     pub fn apply(&self, target_image: &Tensor) -> Result<Tensor> {
-        if target_image.rank() != 3 || target_image.shape()[0] != self.channels {
+        if target_image.rank() != 3 {
             return Err(VpError::InvalidConfig {
                 reason: format!(
                     "prompt expects [{}, t, t] images, got {:?}",
@@ -162,57 +278,25 @@ impl VisualPrompt {
                 ),
             });
         }
+        let mut dims = vec![1];
+        dims.extend_from_slice(target_image.shape());
+        let mut out = self.apply_batch(&target_image.reshape(&dims)?)?;
         let s = self.source_size;
-        match self.style {
-            PromptStyle::Pad => {
-                let isz = self.inner_size();
-                let inner = resize(target_image, isz)?;
-                let b = self.border;
-                let mut out = self.theta.clone();
-                out.clamp_in_place(0.0, 1.0);
-                for c in 0..self.channels {
-                    for y in 0..isz {
-                        let src = (c * isz + y) * isz;
-                        let dst = (c * s + y + b) * s + b;
-                        out.data_mut()[dst..dst + isz]
-                            .copy_from_slice(&inner.data()[src..src + isz]);
-                    }
-                }
-                Ok(out)
-            }
-            PromptStyle::Overlay => {
-                let mut out = resize(target_image, s)?;
-                let mask = self.border_mask();
-                for ((o, &t), &m) in out
-                    .data_mut()
-                    .iter_mut()
-                    .zip(self.theta.data())
-                    .zip(mask.data())
-                {
-                    *o = (*o + t * m).clamp(0.0, 1.0);
-                }
-                Ok(out)
-            }
-        }
+        out.reshape_in_place(&[self.channels, s, s])?;
+        Ok(out)
     }
 
-    /// Prompts a batch `[n, c, t, t] → [n, c, s, s]`.
+    /// Prompts a batch `[n, c, t, t] → [n, c, s, s]`: resizes the images,
+    /// then applies θ. The prompt searches in this crate resize their
+    /// image set once and apply each θ to the resized copy instead.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`VisualPrompt::apply`].
+    /// Returns [`VpError::InvalidConfig`] if `images` is not rank 4, has a
+    /// channel count other than the prompt's, or has an empty image plane,
+    /// and [`VpError::Tensor`] on an empty batch.
     pub fn apply_batch(&self, images: &Tensor) -> Result<Tensor> {
-        if images.rank() != 4 {
-            return Err(VpError::InvalidConfig {
-                reason: format!("apply_batch expects [n, c, t, t], got {:?}", images.shape()),
-            });
-        }
-        let n = images.shape()[0];
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(self.apply(&images.sample(i)?)?);
-        }
-        Ok(Tensor::stack(&out)?)
+        self.apply_canvas(&self.canvas(images)?)
     }
 
     /// Accumulates a gradient step: `θ += scale · (grad ⊙ border_mask)`.
@@ -434,15 +518,22 @@ mod tests {
         assert_eq!(prompt.theta.at(&[0, 0, 0]).unwrap(), -0.5);
     }
 
+    fn resize(image: &Tensor, to: usize) -> Tensor {
+        let (c, h, w) = (image.shape()[0], image.shape()[1], image.shape()[2]);
+        let mut out = Tensor::zeros(&[c, to, to]);
+        resize_into(image.data(), c, h, w, to, out.data_mut());
+        out
+    }
+
     #[test]
     fn resize_preserves_constant_images() {
         let img = Tensor::full(&[3, 8, 8], 0.7);
-        let out = resize(&img, 12).unwrap();
+        let out = resize(&img, 12);
         assert_eq!(out.shape(), &[3, 12, 12]);
         for v in out.data() {
             assert!((v - 0.7).abs() < 1e-6);
         }
-        let down = resize(&img, 4).unwrap();
+        let down = resize(&img, 4);
         assert_eq!(down.shape(), &[3, 4, 4]);
     }
 
@@ -450,7 +541,7 @@ mod tests {
     fn resize_identity_when_same_size() {
         let mut rng = Rng::new(1);
         let img = Tensor::rand_uniform(&[1, 6, 6], 0.0, 1.0, &mut rng);
-        let out = resize(&img, 6).unwrap();
+        let out = resize(&img, 6);
         for (a, b) in out.data().iter().zip(img.data()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -465,6 +556,142 @@ mod tests {
         for i in 0..3 {
             let single = prompt.apply(&imgs.sample(i).unwrap()).unwrap();
             assert_eq!(batch.sample(i).unwrap(), single);
+        }
+    }
+
+    /// Per-image prompting as a single function: resize the target, then
+    /// combine it with θ. The bitwise reference for the canvas path.
+    fn reference_apply(prompt: &VisualPrompt, image: &Tensor) -> Tensor {
+        let s = prompt.source_size;
+        match prompt.style {
+            PromptStyle::Pad => {
+                let isz = prompt.inner_size();
+                let inner = reference_resize(image, isz);
+                let b = prompt.border;
+                let mut out = prompt.theta.clone();
+                out.clamp_in_place(0.0, 1.0);
+                for c in 0..prompt.channels {
+                    for y in 0..isz {
+                        let src = (c * isz + y) * isz;
+                        let dst = (c * s + y + b) * s + b;
+                        out.data_mut()[dst..dst + isz]
+                            .copy_from_slice(&inner.data()[src..src + isz]);
+                    }
+                }
+                out
+            }
+            PromptStyle::Overlay => {
+                let mut out = reference_resize(image, s);
+                let mask = prompt.border_mask();
+                for ((o, &t), &m) in out
+                    .data_mut()
+                    .iter_mut()
+                    .zip(prompt.theta.data())
+                    .zip(mask.data())
+                {
+                    *o = (*o + t * m).clamp(0.0, 1.0);
+                }
+                out
+            }
+        }
+    }
+
+    fn reference_resize(image: &Tensor, to: usize) -> Tensor {
+        let (c, h, w) = (image.shape()[0], image.shape()[1], image.shape()[2]);
+        let mut out = Tensor::zeros(&[c, to, to]);
+        for ci in 0..c {
+            for y in 0..to {
+                for x in 0..to {
+                    let sy = (y as f32 + 0.5) * h as f32 / to as f32 - 0.5;
+                    let sx = (x as f32 + 0.5) * w as f32 / to as f32 - 0.5;
+                    let sy = sy.clamp(0.0, (h - 1) as f32);
+                    let sx = sx.clamp(0.0, (w - 1) as f32);
+                    let (y0, x0) = (sy as usize, sx as usize);
+                    let (y1, x1) = ((y0 + 1).min(h - 1), (x0 + 1).min(w - 1));
+                    let (fy, fx) = (sy - y0 as f32, sx - x0 as f32);
+                    let px = |yy: usize, xx: usize| image.data()[(ci * h + yy) * w + xx];
+                    let top = px(y0, x0) * (1.0 - fx) + px(y0, x1) * fx;
+                    let bot = px(y1, x0) * (1.0 - fx) + px(y1, x1) * fx;
+                    out.data_mut()[(ci * to + y) * to + x] = top * (1.0 - fy) + bot * fy;
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn canvas_path_matches_per_image_reference_bitwise() {
+        let mut rng = Rng::new(12);
+        for style in [PromptStyle::Pad, PromptStyle::Overlay] {
+            for t in [8, 10, 16, 20] {
+                for n in [1, 48] {
+                    let mut prompt = VisualPrompt::new(3, 16, 4).unwrap().with_style(style);
+                    // θ on the whole canvas, interior included (a restored
+                    // snapshot may carry any values there), far outside
+                    // [0, 1] on both sides, with exact signed zeros.
+                    for (i, v) in prompt.theta.data_mut().iter_mut().enumerate() {
+                        *v = match i % 11 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => rng.uniform_in(-2.0, 2.0),
+                        };
+                    }
+                    // Pixels outside [0, 1] and exact -0.0 / 0 / 1, drawn
+                    // independently so that runs of -0.0 and negatives
+                    // survive the resize as -0.0 canvas pixels.
+                    let mut imgs = Tensor::rand_uniform(&[n, 3, t, t], -0.25, 1.25, &mut rng);
+                    for v in imgs.data_mut() {
+                        match rng.below(4) {
+                            0 => *v = -0.0,
+                            1 => *v = 0.0,
+                            2 => *v = 1.0,
+                            _ => {}
+                        }
+                    }
+                    let canvas = prompt.canvas(&imgs).unwrap();
+                    let k = prompt.canvas_size();
+                    assert_eq!(canvas.shape(), &[n, 3, k, k]);
+                    let via_canvas = prompt.apply_canvas(&canvas).unwrap();
+                    let batch = prompt.apply_batch(&imgs).unwrap();
+                    assert_eq!(batch.shape(), &[n, 3, 16, 16]);
+                    for i in 0..n {
+                        let image = imgs.sample(i).unwrap();
+                        let want = bits(&reference_apply(&prompt, &image));
+                        let case = format!("{style:?} t={t} n={n} i={i}");
+                        assert_eq!(bits(&via_canvas.sample(i).unwrap()), want, "{case}");
+                        assert_eq!(bits(&batch.sample(i).unwrap()), want, "{case}");
+                        assert_eq!(bits(&prompt.apply(&image).unwrap()), want, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_batches_are_typed_errors() {
+        let config_err = |r: Result<Tensor>| matches!(r, Err(VpError::InvalidConfig { .. }));
+        for style in [PromptStyle::Pad, PromptStyle::Overlay] {
+            let prompt = VisualPrompt::new(3, 16, 4).unwrap().with_style(style);
+            // Rank != 4, a channel mismatch, an empty image plane.
+            for dims in [&[3, 8, 8][..], &[2, 1, 8, 8], &[2, 3, 0, 0]] {
+                let r = prompt.apply_batch(&Tensor::zeros(dims));
+                assert!(config_err(r), "{style:?} {dims:?}");
+            }
+            let r = prompt.apply_batch(&Tensor::zeros(&[0, 3, 8, 8]));
+            assert!(matches!(r, Err(VpError::Tensor(_))), "{style:?}");
+            for dims in [&[1, 8, 8][..], &[1, 3, 8, 8]] {
+                assert!(config_err(prompt.apply(&Tensor::zeros(dims))), "{dims:?}");
+            }
+            // A canvas must have the prompt's own canvas geometry.
+            let k = prompt.canvas_size();
+            for dims in [&[1, 3, k + 1, k + 1][..], &[0, 3, k, k], &[3, k, k]] {
+                let r = prompt.apply_canvas(&Tensor::zeros(dims));
+                assert!(config_err(r), "{style:?} {dims:?}");
+            }
         }
     }
 }

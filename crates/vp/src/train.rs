@@ -189,14 +189,15 @@ pub fn train_prompt_backprop(
     let (b1, b2, eps) = (0.9f32, 0.999f32, 1e-8f32);
     let mut t = 0i32;
     let mut losses = Vec::with_capacity(cfg.epochs);
+    let targets = prompt.canvas(images)?;
     bprom_obs::span!("backprop_prompt_training");
     for _epoch in 0..cfg.epochs {
         rng.shuffle(&mut order);
         let mut total = 0.0f32;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let (bx, by) = gather(images, &mapped, chunk)?;
-            let prompted = prompt.apply_batch(&bx)?;
+            let (bx, by) = gather(&targets, &mapped, chunk)?;
+            let prompted = prompt.apply_canvas(&bx)?;
             let logits = model.forward(&prompted, Mode::Frozen)?;
             let (loss, grad_logits) = softmax_cross_entropy(&logits, &by)?;
             model.zero_grad();
@@ -389,6 +390,10 @@ pub fn train_prompt_cmaes_ckpt(
             start_gen = gens_done;
         }
     }
+    // The resized targets do not depend on θ: build them once, so each
+    // candidate only applies its border. Consumes no RNG, so a resumed run
+    // draws exactly what the uninterrupted one would.
+    let targets = template.canvas(images)?;
     bprom_obs::span!("cmaes_prompt_training");
     for gen_index in start_gen..cfg.cmaes_generations {
         let gen_start = bprom_obs::enabled().then(std::time::Instant::now);
@@ -396,7 +401,7 @@ pub fn train_prompt_cmaes_ckpt(
         // same data, resampled across generations for coverage.
         let batch_len = cfg.batch_size.min(n).max(1);
         let idx = rng.sample_indices(n, batch_len);
-        let (bx, by) = gather(images, &mapped, &idx)?;
+        let (bx, by) = gather(&targets, &mapped, &idx)?;
         let candidates = es.ask(rng);
         // Candidate evaluations are independent (the oracle is `&self` and
         // counts queries atomically) and consume no RNG, so fanning them out
@@ -405,7 +410,7 @@ pub fn train_prompt_cmaes_ckpt(
         let fitness: Vec<f32> = bprom_par::par_map_indexed(candidates.len(), |ci| -> Result<f32> {
             let mut scratch = template.clone();
             scratch.set_flat(&candidates[ci])?;
-            let prompted = scratch.apply_batch(&bx)?;
+            let prompted = scratch.apply_canvas(&bx)?;
             // Graceful degradation: a candidate whose queries exhaust all
             // retries is skipped with an infinite penalty (ranks last,
             // never recombined) instead of aborting the whole generation.
@@ -507,10 +512,11 @@ pub fn prompted_accuracy(
     check_training_set(images, labels)?;
     let n = images.shape()[0];
     let idx: Vec<usize> = (0..n).collect();
+    let targets = prompt.canvas(images)?;
     let mut correct = 0.0f32;
     for chunk in idx.chunks(64) {
-        let (bx, by) = gather(images, labels, chunk)?;
-        let prompted = prompt.apply_batch(&bx)?;
+        let (bx, by) = gather(&targets, labels, chunk)?;
+        let prompted = prompt.apply_canvas(&bx)?;
         let logits = model.forward(&prompted, Mode::Eval)?;
         let probs = bprom_nn::softmax(&logits)?;
         correct += map.accuracy(&probs, &by)? * chunk.len() as f32;
@@ -533,10 +539,11 @@ pub fn prompted_accuracy_blackbox(
     check_training_set(images, labels)?;
     let n = images.shape()[0];
     let idx: Vec<usize> = (0..n).collect();
+    let targets = prompt.canvas(images)?;
     let mut correct = 0.0f32;
     for chunk in idx.chunks(64) {
-        let (bx, by) = gather(images, labels, chunk)?;
-        let prompted = prompt.apply_batch(&bx)?;
+        let (bx, by) = gather(&targets, labels, chunk)?;
+        let prompted = prompt.apply_canvas(&bx)?;
         let probs = oracle.query(&prompted)?;
         correct += map.accuracy(&probs, &by)? * chunk.len() as f32;
     }
