@@ -3,7 +3,7 @@
 //! incident report.
 
 use crate::registry::{DetectorSpec, RegistryStats, ShadowZooRegistry};
-use bprom::{model_fingerprint, Bprom, Result, SuspiciousModel, Verdict};
+use bprom::{model_fingerprint, Bprom, Result, Scenario, SuspiciousModel, Verdict};
 use bprom_nn::Sequential;
 use bprom_qcache::{CacheConfig, CachingOracle};
 use bprom_tensor::Rng;
@@ -223,12 +223,6 @@ impl AuditEngine {
         }
     }
 
-    /// Replaces the rule policy findings are evaluated under.
-    pub fn with_policy(mut self, policy: RulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Replaces the response mode of the incident report.
     pub fn with_mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
@@ -398,15 +392,14 @@ impl AuditEngine {
                 // spec, seed) only, never of fleet position or schedule.
                 inspect(detector, oracle, &mut Rng::new(inspect_seed))?
             };
-            let record = AuditRecord {
-                model: fingerprint.clone(),
-                regime: detector.config().regime.as_wire(),
-                // The fleet engine audits deployed downstream models; the
-                // backbone scenario routes through evaluate_oracle_zoo.
-                scenario: "downstream".to_string(),
-                signals: verdict.signals(),
-                findings: verdict.findings(&self.policy),
-            };
+            // The fleet engine audits deployed downstream models; the
+            // backbone scenario routes through `bprom::evaluate_zoo`.
+            let record = detector.audit_record(
+                fingerprint.clone(),
+                Scenario::Downstream,
+                &verdict,
+                &self.policy,
+            );
             bprom_obs::counter_add("fleet.audits", 1);
             bprom_obs::log_event(
                 "fleet.audit",

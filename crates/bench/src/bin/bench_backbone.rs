@@ -13,14 +13,14 @@
 //!
 //! `BPROM_QUICK=1` shrinks shadow/zoo counts as everywhere else.
 
-use bprom::Bprom;
+use bprom::{evaluate_zoo, Bprom, Scenario};
 use bprom_attacks::AttackKind;
 use bprom_bench::{detector_config, header, quick, row, TelemetryGuard};
 use bprom_data::SynthDataset;
 use bprom_defenses::trigger_inversion::{invert_trigger, TriggerInversionConfig};
 use bprom_metrics::auroc;
 use bprom_obs::{ToJson, Value};
-use bprom_scenarios::{build_backbone_zoo, evaluate_backbone_zoo, BackboneScenarioConfig};
+use bprom_scenarios::{backbone_entries, build_backbone_zoo, BackboneScenarioConfig};
 use bprom_tensor::Rng;
 use bprom_vp::{BlackBoxModel, PromptTrainConfig};
 
@@ -58,7 +58,14 @@ fn main() {
     let zoo_rng = rng.clone();
     let zoo = build_backbone_zoo(&backbone_zoo_config(), &mut rng).expect("backbone zoo");
     let labels: Vec<bool> = zoo.iter().map(|s| s.backdoored).collect();
-    let report = evaluate_backbone_zoo(&detector, zoo, &mut rng).expect("bprom eval");
+    let report = evaluate_zoo(
+        &detector,
+        Scenario::Backbone,
+        backbone_entries(zoo),
+        &mut rng,
+        |detector, oracle, rng, _| detector.inspect(&oracle, rng),
+    )
+    .expect("bprom eval");
     let b013_audits = report
         .audits
         .iter()

@@ -10,7 +10,7 @@
 
 use bprom_bench::{header, quick, row};
 use bprom_data::SynthDataset;
-use bprom_faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
+use bprom_faults::FaultProfile;
 use bprom_nn::models::{mlp, ModelSpec};
 use bprom_obs::{ToJson, Value};
 use bprom_tensor::Rng;
@@ -71,13 +71,7 @@ fn main() {
     assert_eq!(bare_stats, OracleStats::default());
 
     let inner = oracle();
-    let plan = Stack(vec![
-        Box::new(Transient { rate: 0.10 }),
-        Box::new(Quantize { decimals: 3 }),
-    ]);
-    let faulty = FaultyOracle::new(&inner, plan, 0xBE7C);
-    let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-    let (hostile_secs, stats) = time_cmaes(&retrying);
+    let (hostile_secs, stats) = FaultProfile::Hostile.wrap(&inner, 0xBE7C, time_cmaes);
     row(
         "hostile",
         &[

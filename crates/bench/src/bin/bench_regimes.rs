@@ -17,7 +17,10 @@
 //!
 //! `BPROM_QUICK=1` shrinks shadow/zoo counts as everywhere else.
 
-use bprom::{build_suspicious_zoo, evaluate_detector, evaluate_detector_via, Bprom, OracleRegime};
+use bprom::{
+    build_suspicious_zoo, downstream_entries, evaluate_detector, evaluate_zoo, Bprom, OracleRegime,
+    Scenario,
+};
 use bprom_attacks::AttackKind;
 use bprom_bench::{detector_config, header, quick, row, zoo_config, TelemetryGuard};
 use bprom_data::SynthDataset;
@@ -87,12 +90,17 @@ fn main() {
     let detector = Bprom::fit(&cfg, &mut rng).expect("detector fit");
     let zoo_cfg = zoo_config(source, AttackKind::BadNets);
     let zoo = build_suspicious_zoo(&zoo_cfg, &mut rng).expect("zoo");
-    let adaptive_report =
-        evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
+    let adaptive_report = evaluate_zoo(
+        &detector,
+        Scenario::Downstream,
+        downstream_entries(zoo, cfg.source_dataset.num_classes()),
+        &mut rng,
+        |detector, oracle, rng, _| {
             let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
             detector.inspect(&adaptive, rng)
-        })
-        .expect("adaptive eval");
+        },
+    )
+    .expect("adaptive eval");
     let evasions: u64 = adaptive_report
         .audits
         .iter()

@@ -4,6 +4,7 @@
 use bprom::meta_model::{probe_features_whitebox, ProbeSet};
 use bprom::prompting::prompt_shadows;
 use bprom::shadow::ShadowSet;
+use bprom::OracleRegime;
 use bprom_bench::{detector_config, header};
 use bprom_data::SynthDataset;
 use bprom_metrics::pca2;
@@ -27,7 +28,10 @@ fn main() {
     let probes = ProbeSet::sample(&t_test, config.probe_count, &mut rng).unwrap();
     let mut features = Vec::new();
     for (s, p) in shadows.shadows.iter_mut().zip(&prompts) {
-        features.push(probe_features_whitebox(&mut s.model, &p.prompt, &probes).unwrap());
+        features.push(
+            probe_features_whitebox(&mut s.model, &p.prompt, &probes, OracleRegime::FullScores)
+                .unwrap(),
+        );
     }
     let pca = pca2(&features).unwrap();
     header(

@@ -17,8 +17,8 @@
 //! Exits non-zero (panics) on any violation; CI runs it once per mode.
 
 use bprom::{
-    build_suspicious_zoo, evaluate_detector_via, Bprom, BpromConfig, CacheConfig, DetectionReport,
-    ZooConfig,
+    build_suspicious_zoo, downstream_entries, evaluate_zoo, Bprom, BpromConfig, CacheConfig,
+    DetectionReport, Scenario, ZooConfig,
 };
 use bprom_attacks::AttackKind;
 use bprom_bench::TelemetryGuard;
@@ -29,7 +29,6 @@ use bprom_qcache::CachingOracle;
 use bprom_tensor::Rng;
 use bprom_verdict::{validate_incident, Action, Mode, RulePolicy};
 use bprom_vp::PromptTrainConfig;
-use std::cell::Cell;
 
 /// The same audit recipe `tests/incident.rs` pins, at the same scale,
 /// with the default rule policy: one harder-trained clean model behind a
@@ -74,23 +73,26 @@ fn run_audit(seed: u64) -> DetectionReport {
     };
     zoo.extend(build_suspicious_zoo(&bad_cfg, &mut rng).expect("bad zoo"));
 
-    let audit_index = Cell::new(0usize);
-    evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-        let i = audit_index.get();
-        audit_index.set(i + 1);
-        if i == 0 {
-            detector.inspect(&oracle, rng)
-        } else {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.25 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            let memo = CachingOracle::new(retrying, CacheConfig::lru(64));
-            detector.inspect(&memo, rng)
-        }
-    })
+    evaluate_zoo(
+        &detector,
+        Scenario::Downstream,
+        downstream_entries(zoo, config.source_dataset.num_classes()),
+        &mut rng,
+        |detector, oracle, rng, i| {
+            if i == 0 {
+                detector.inspect(&oracle, rng)
+            } else {
+                let plan = Stack(vec![
+                    Box::new(Transient { rate: 0.25 }),
+                    Box::new(Quantize { decimals: 3 }),
+                ]);
+                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
+                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
+                let memo = CachingOracle::new(retrying, CacheConfig::lru(64));
+                detector.inspect(&memo, rng)
+            }
+        },
+    )
     .expect("evaluate")
 }
 

@@ -27,7 +27,7 @@
 //!   CI sweep every kill point exhaustively and assert byte-identical
 //!   resume.
 //!
-//! The determinism contract this enables (see `bprom`'s `resume_from`):
+//! The determinism contract this enables (see `bprom`'s `fit_ckpt`):
 //! a pipeline killed at *any* checkpoint boundary and resumed produces
 //! a byte-identical `DetectionReport` to an uninterrupted run, at any
 //! `BPROM_THREADS`, including under a hostile `FaultyOracle` stack.

@@ -1,19 +1,18 @@
 //! The end-to-end BPROM detector.
 
-use crate::meta_model::{probe_features_blackbox_regime, train_meta_ckpt, ProbeSet};
-use crate::prompting::{prompt_shadows_ckpt, prompt_suspicious_ckpt};
+use crate::meta_model::{probe_features_blackbox, train_meta_ckpt, ProbeSet};
+use crate::prompting::{prompt_shadows_ckpt, prompt_suspicious};
 use crate::resume::{
     decode_dataset, decode_rng, decode_tensor, encode_dataset, encode_rng, encode_tensor,
-    run_fingerprint, Checkpointer, Decoder,
+    journaled, run_fingerprint, Checkpointer, Decoder,
 };
-use crate::{BpromConfig, BpromError, Result, ShadowSet};
+use crate::{BpromConfig, BpromError, Result, Scenario, ShadowSet};
 use bprom_ckpt::Encoder;
 use bprom_data::Dataset;
 use bprom_meta::RandomForest;
 use bprom_tensor::Rng;
-use bprom_verdict::{Signals, Timing};
+use bprom_verdict::{AuditRecord, RulePolicy, Signals, Timing};
 use bprom_vp::{BlackBoxModel, CmaesCheckpoint, CountingOracle, LabelMap};
-use std::path::Path;
 use std::time::Instant;
 
 /// Query-budget and wall-clock breakdown of one [`Bprom::inspect`] call.
@@ -188,13 +187,6 @@ impl Verdict {
             total_ns: self.budget.total_ns,
         }
     }
-
-    /// Runs the verdict rules stage over this verdict's signals,
-    /// returning every finding (stable rule ID, severity, reason,
-    /// evidence) the policy raises.
-    pub fn findings(&self, policy: &bprom_verdict::RulePolicy) -> Vec<bprom_verdict::Finding> {
-        policy.evaluate(&self.signals())
-    }
 }
 
 impl std::fmt::Display for Verdict {
@@ -268,56 +260,11 @@ impl Bprom {
             rng.next_u64(),
         )?;
         let ds = source_test.subsample(config.ds_fraction, rng)?;
-        Self::fit_with_reserved_ckpt(config, &ds, rng, ckpt)
-    }
-
-    /// Re-opens the checkpoint directory of an interrupted [`fit_ckpt`]
-    /// run and finishes the fit. The caller supplies the *same* config
-    /// and a freshly seeded RNG in the *same* state as the original
-    /// call; deterministic replay recomputes the cheap setup and the
-    /// journal skips every completed unit.
-    ///
-    /// [`fit_ckpt`]: Bprom::fit_ckpt
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline and checkpoint failures; rejects a directory
-    /// fingerprinted by a different config/seed.
-    pub fn resume_from(dir: impl AsRef<Path>, config: &BpromConfig, rng: &mut Rng) -> Result<Self> {
-        let ck = Checkpointer::open(dir.as_ref())?;
-        Self::fit_ckpt(config, rng, Some(&ck))
-    }
-
-    /// Variant of [`Bprom::fit`] taking an explicit reserved clean dataset
-    /// `D_S` (used by experiments that sweep `D_S` composition).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, training, prompting and meta-model
-    /// failures.
-    pub fn fit_with_reserved(config: &BpromConfig, ds: &Dataset, rng: &mut Rng) -> Result<Self> {
-        Self::fit_with_reserved_ckpt(config, ds, rng, None)
-    }
-
-    /// Checkpointed variant of [`Bprom::fit_with_reserved`]; see
-    /// [`Bprom::fit_ckpt`] for the resume contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline and checkpoint failures; rejects a checkpoint
-    /// directory whose manifest belongs to a different run.
-    pub fn fit_with_reserved_ckpt(
-        config: &BpromConfig,
-        ds: &Dataset,
-        rng: &mut Rng,
-        ckpt: Option<&Checkpointer>,
-    ) -> Result<Self> {
-        config.validate()?;
         bprom_obs::span!("fit");
         if let Some(ck) = ckpt {
-            // Fingerprint at the single funnel point every fit variant
-            // passes through, so the guard sees the same (config, RNG
-            // state) pair on the original run and on resume.
+            // Fingerprint (config, RNG state) after the D_S reservation
+            // draws: existing checkpoint directories were fingerprinted at
+            // this stream position, and moving it would reject them.
             ck.ensure_manifest(run_fingerprint(&format!("{config:?}"), rng))?;
         }
         let target = config.target_dataset.generate(
@@ -329,7 +276,7 @@ impl Bprom {
         let map = LabelMap::identity(t_train.num_classes, ds.num_classes)?;
         let mut shadows = {
             bprom_obs::span!("shadow_training");
-            ShadowSet::train_ckpt(config, ds, rng, ckpt)?
+            ShadowSet::train_ckpt(config, &ds, rng, ckpt)?
         };
         let prompts = {
             bprom_obs::span!("prompt_shadows");
@@ -386,18 +333,39 @@ impl Bprom {
         unit: &str,
     ) -> Result<Verdict> {
         bprom_obs::span!("inspect");
-        let artifact = format!("inspect-{unit}");
-        if let Some(ck) = ckpt {
-            if ck.is_done(&artifact) {
-                let bytes = ck.load_artifact(&artifact)?;
-                let mut dec = Decoder::new(&bytes);
-                let verdict = decode_verdict(&mut dec)?;
-                let restored = decode_rng(&mut dec)?;
-                dec.finish()?;
-                *rng = restored;
-                return Ok(verdict);
-            }
-        }
+        let cmaes_name = format!("cmaes-inspect-{unit}");
+        journaled(
+            ckpt,
+            &format!("inspect-{unit}"),
+            rng,
+            |rng| {
+                let cmaes = ckpt.map(|ck| CmaesCheckpoint {
+                    store: ck.store(),
+                    name: &cmaes_name,
+                });
+                self.inspect_live(oracle, rng, cmaes)
+            },
+            |enc, verdict, rng| {
+                encode_verdict(enc, verdict);
+                encode_rng(enc, rng);
+            },
+            |dec, rng| {
+                let verdict = decode_verdict(dec)?;
+                *rng = decode_rng(dec)?;
+                Ok(verdict)
+            },
+        )
+    }
+
+    /// One inspection run for real: the CMA-ES prompt search (resuming
+    /// from `cmaes` snapshots when given), the accuracy pass, the probe
+    /// feature and the meta prediction.
+    fn inspect_live(
+        &self,
+        oracle: &dyn BlackBoxModel,
+        rng: &mut Rng,
+        cmaes: Option<CmaesCheckpoint<'_>>,
+    ) -> Result<Verdict> {
         let start = Instant::now();
         let stats_before = oracle.oracle_stats();
         let counting = CountingOracle::new(oracle);
@@ -406,20 +374,9 @@ impl Bprom {
         // against a plain oracle (tests, benches) and against a remote
         // endpoint that already serves the degraded shape.
         let sealed = bprom_regimes::RegimeOracle::new(&counting, self.config.regime);
-        let cmaes_name = format!("cmaes-inspect-{unit}");
         let (prompt, outcome) = {
             bprom_obs::span!("prompt_suspicious");
-            prompt_suspicious_ckpt(
-                &self.config,
-                &sealed,
-                &self.t_train,
-                &self.map,
-                rng,
-                ckpt.map(|ck| CmaesCheckpoint {
-                    store: ck.store(),
-                    name: &cmaes_name,
-                }),
-            )?
+            prompt_suspicious(&self.config, &sealed, &self.t_train, &self.map, rng, cmaes)?
         };
         let prompt_queries = outcome.report.queries;
         let prompt_ns = start.elapsed().as_nanos() as u64;
@@ -442,7 +399,7 @@ impl Bprom {
         let accuracy_queries = counting.local_queries() - queries_before_accuracy;
         let feature = {
             bprom_obs::span!("probe_features");
-            probe_features_blackbox_regime(&sealed, &prompt, &self.probes, self.config.regime)?
+            probe_features_blackbox(&sealed, &prompt, &self.probes, self.config.regime)?
         };
         let score = {
             bprom_obs::span!("meta_predict");
@@ -471,7 +428,7 @@ impl Bprom {
                 ("queries", queries.into()),
             ],
         );
-        let verdict = Verdict {
+        Ok(Verdict {
             score,
             backdoored: score > 0.5,
             prompted_accuracy,
@@ -496,15 +453,30 @@ impl Bprom {
                 cache_evictions: faults.cache_evictions,
                 evasive_responses: faults.evasive_responses,
             },
-        };
-        if let Some(ck) = ckpt {
-            let mut enc = Encoder::new();
-            encode_verdict(&mut enc, &verdict);
-            encode_rng(&mut enc, rng);
-            ck.save_artifact(&artifact, enc)?;
-            ck.mark_done(&artifact)?;
+        })
+    }
+
+    /// The explainable audit record of one inspection of `model` (a
+    /// weight fingerprint): the verdict's wall-clock-free signals and the
+    /// findings `policy` raises on them. Under [`Scenario::Backbone`] the
+    /// signals carry the clean-downstream-training attestation *before*
+    /// rule evaluation, so `B013` can co-fire with accuracy collapse.
+    pub fn audit_record(
+        &self,
+        model: String,
+        scenario: Scenario,
+        verdict: &Verdict,
+        policy: &RulePolicy,
+    ) -> AuditRecord {
+        let mut signals = verdict.signals();
+        signals.clean_downstream_training = scenario == Scenario::Backbone;
+        AuditRecord {
+            model,
+            regime: self.config.regime.as_wire(),
+            scenario: scenario.as_wire().to_string(),
+            findings: policy.evaluate(&signals),
+            signals,
         }
-        Ok(verdict)
     }
 
     /// Stable fingerprint of a detector configuration (FNV-1a over the
@@ -583,11 +555,6 @@ impl Bprom {
     /// The identity label mapping in use.
     pub fn label_map(&self) -> &LabelMap {
         &self.map
-    }
-
-    /// The target-domain training split used for prompting.
-    pub fn target_train(&self) -> &Dataset {
-        &self.t_train
     }
 
     /// The fitted meta-classifier.

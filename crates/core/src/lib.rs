@@ -71,10 +71,9 @@ pub use config::{BpromConfig, ShadowPrompting};
 pub use detector::{Bprom, InspectBudget, Verdict};
 pub use error::BpromError;
 pub use report::{
-    evaluate_detector, evaluate_detector_ckpt, evaluate_detector_via, evaluate_oracle_zoo,
-    evaluate_oracle_zoo_ckpt, DetectionReport, Scenario, ZooEntry,
+    downstream_entries, evaluate_detector, evaluate_zoo, DetectionReport, Scenario, ZooEntry,
 };
-pub use resume::{Checkpointer, CKPT_DIR_ENV};
+pub use resume::Checkpointer;
 pub use shadow::{ShadowModel, ShadowSet};
 pub use suspicious::{
     build_suspicious_zoo, build_suspicious_zoo_ckpt, model_fingerprint, SuspiciousModel, ZooConfig,

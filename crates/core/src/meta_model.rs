@@ -3,9 +3,8 @@
 //! models, and train the random-forest meta-classifier on `D_meta`.
 
 use crate::prompting::LearnedPrompt;
-use crate::resume::{decode_rng, encode_rng, Checkpointer, Decoder};
+use crate::resume::{decode_rng, encode_rng, journaled, Checkpointer};
 use crate::{BpromConfig, Result, ShadowSet};
-use bprom_ckpt::Encoder;
 use bprom_data::Dataset;
 use bprom_meta::{ForestConfig, RandomForest, TreeConfig};
 use bprom_nn::{softmax, Layer, Mode, Sequential};
@@ -124,35 +123,6 @@ pub fn feature_from_confidences(probs: &Tensor, probe_labels: &[usize]) -> Resul
     Ok(feature)
 }
 
-/// Extracts the meta feature of a *white-box* (shadow) model: canonicalized
-/// prompted confidence vectors `f(x_Q^1) || ... || f(x_Q^q)` plus the
-/// prompted-accuracy feature.
-///
-/// # Errors
-///
-/// Propagates prompting/forward failures.
-pub fn probe_features_whitebox(
-    model: &mut Sequential,
-    prompt: &VisualPrompt,
-    probes: &ProbeSet,
-) -> Result<Vec<f32>> {
-    probe_features_whitebox_regime(model, prompt, probes, OracleRegime::FullScores)
-}
-
-/// Extracts the meta feature of a *black-box* (suspicious) model through
-/// queries only.
-///
-/// # Errors
-///
-/// Propagates prompting/query failures.
-pub fn probe_features_blackbox(
-    oracle: &dyn BlackBoxModel,
-    prompt: &VisualPrompt,
-    probes: &ProbeSet,
-) -> Result<Vec<f32>> {
-    probe_features_blackbox_regime(oracle, prompt, probes, OracleRegime::FullScores)
-}
-
 /// The regime-aware meta feature for a `[q, k]` probe confidence matrix:
 /// degrades `probs` to the regime's wire shape first (idempotent, so a
 /// matrix an oracle already served under the regime passes through
@@ -183,14 +153,16 @@ pub fn regime_feature(
     }
 }
 
-/// [`probe_features_whitebox`] under a declared [`OracleRegime`]: the
-/// shadow's full softmax is degraded to the regime's wire shape before
-/// feature extraction, matching what a black-box endpoint would serve.
+/// Extracts the meta feature of a *white-box* (shadow) model: canonicalized
+/// prompted confidence vectors `f(x_Q^1) || ... || f(x_Q^q)` plus the
+/// prompted-accuracy feature. Under a degraded [`OracleRegime`] the
+/// shadow's full softmax is first degraded to the regime's wire shape,
+/// matching what a black-box endpoint would serve.
 ///
 /// # Errors
 ///
 /// Propagates prompting/forward failures.
-pub fn probe_features_whitebox_regime(
+pub fn probe_features_whitebox(
     model: &mut Sequential,
     prompt: &VisualPrompt,
     probes: &ProbeSet,
@@ -202,14 +174,15 @@ pub fn probe_features_whitebox_regime(
     regime_feature(regime, probs, &probes.labels)
 }
 
-/// [`probe_features_blackbox`] under a declared [`OracleRegime`]. The
-/// degrade step is idempotent, so this is correct whether the oracle
-/// natively enforces the regime or serves full scores.
+/// Extracts the meta feature of a *black-box* (suspicious) model through
+/// queries only, under a declared [`OracleRegime`]. The degrade step is
+/// idempotent, so this is correct whether the oracle natively enforces
+/// the regime or serves full scores.
 ///
 /// # Errors
 ///
 /// Propagates prompting/query failures.
-pub fn probe_features_blackbox_regime(
+pub fn probe_features_blackbox(
     oracle: &dyn BlackBoxModel,
     prompt: &VisualPrompt,
     probes: &ProbeSet,
@@ -241,12 +214,7 @@ pub fn train_meta(
 /// — forest training consumes the caller's stream directly, so the
 /// restore path must also restore the stream position to keep the
 /// continued run bit-identical.
-///
-/// # Errors
-///
-/// Propagates feature-extraction, forest-training and checkpoint
-/// failures.
-pub fn train_meta_ckpt(
+pub(crate) fn train_meta_ckpt(
     config: &BpromConfig,
     shadows: &mut ShadowSet,
     prompts: &[LearnedPrompt],
@@ -254,56 +222,55 @@ pub fn train_meta_ckpt(
     rng: &mut Rng,
     ckpt: Option<&Checkpointer>,
 ) -> Result<RandomForest> {
-    if let Some(ck) = ckpt {
-        if ck.is_done("meta") {
-            let bytes = ck.load_artifact("meta")?;
-            let mut dec = Decoder::new(&bytes);
-            let forest = RandomForest::restore(&mut dec)?;
-            let restored = decode_rng(&mut dec)?;
-            dec.finish()?;
-            *rng = restored;
-            return Ok(forest);
+    let fit = |rng: &mut Rng| -> Result<RandomForest> {
+        let mut features = Vec::with_capacity(shadows.len());
+        {
+            bprom_obs::span!("build_meta_dataset");
+            for (shadow, learned) in shadows.shadows.iter_mut().zip(prompts) {
+                features.push(probe_features_whitebox(
+                    &mut shadow.model,
+                    &learned.prompt,
+                    probes,
+                    config.regime,
+                )?);
+                bprom_obs::counter_add("meta.features", 1);
+            }
         }
-    }
-    let mut features = Vec::with_capacity(shadows.len());
-    {
-        bprom_obs::span!("build_meta_dataset");
-        for (shadow, learned) in shadows.shadows.iter_mut().zip(prompts) {
-            features.push(probe_features_whitebox_regime(
-                &mut shadow.model,
-                &learned.prompt,
-                probes,
-                config.regime,
-            )?);
-            bprom_obs::counter_add("meta.features", 1);
-        }
-    }
-    let labels = shadows.labels();
-    bprom_obs::span!("forest_fit");
-    let forest = RandomForest::fit(
-        &features,
-        &labels,
-        &ForestConfig {
-            trees: config.forest_trees,
-            tree: TreeConfig::default(),
-        },
+        let labels = shadows.labels();
+        bprom_obs::span!("forest_fit");
+        let forest = RandomForest::fit(
+            &features,
+            &labels,
+            &ForestConfig {
+                trees: config.forest_trees,
+                tree: TreeConfig::default(),
+            },
+            rng,
+        )?;
+        bprom_obs::log_event(
+            "meta.forest_fit",
+            [
+                ("shadows", features.len().into()),
+                ("trees", config.forest_trees.into()),
+            ],
+        );
+        Ok(forest)
+    };
+    journaled(
+        ckpt,
+        "meta",
         rng,
-    )?;
-    bprom_obs::log_event(
-        "meta.forest_fit",
-        [
-            ("shadows", features.len().into()),
-            ("trees", config.forest_trees.into()),
-        ],
-    );
-    if let Some(ck) = ckpt {
-        let mut enc = Encoder::new();
-        forest.persist(&mut enc);
-        encode_rng(&mut enc, rng);
-        ck.save_artifact("meta", enc)?;
-        ck.mark_done("meta")?;
-    }
-    Ok(forest)
+        fit,
+        |enc, forest, rng| {
+            forest.persist(enc);
+            encode_rng(enc, rng);
+        },
+        |dec, rng| {
+            let forest = RandomForest::restore(dec)?;
+            *rng = decode_rng(dec)?;
+            Ok(forest)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -331,9 +298,10 @@ mod tests {
         let prompt = VisualPrompt::random(3, 16, 4, &mut rng).unwrap();
         let spec = ModelSpec::new(3, 16, 10);
         let mut model = mlp(&spec, &mut rng).unwrap();
-        let white = probe_features_whitebox(&mut model, &prompt, &probes).unwrap();
+        let full = OracleRegime::FullScores;
+        let white = probe_features_whitebox(&mut model, &prompt, &probes, full).unwrap();
         let oracle = QueryOracle::new(model, 10);
-        let black = probe_features_blackbox(&oracle, &prompt, &probes).unwrap();
+        let black = probe_features_blackbox(&oracle, &prompt, &probes, full).unwrap();
         assert_eq!(white.len(), 5 * 10 + 10 + 2);
         for (w, b) in white.iter().zip(&black) {
             assert!((w - b).abs() < 1e-6);
@@ -359,11 +327,10 @@ mod tests {
             OracleRegime::LabelOnly,
         ] {
             let mut model = mlp(&spec, &mut rng).unwrap();
-            let white =
-                probe_features_whitebox_regime(&mut model, &prompt, &probes, regime).unwrap();
+            let white = probe_features_whitebox(&mut model, &prompt, &probes, regime).unwrap();
             let oracle = QueryOracle::new(model, 10);
             let wrapped = RegimeOracle::new(&oracle, regime);
-            let black = probe_features_blackbox_regime(&wrapped, &prompt, &probes, regime).unwrap();
+            let black = probe_features_blackbox(&wrapped, &prompt, &probes, regime).unwrap();
             let expected = if regime.has_soft_scores() {
                 5 * 10 + 10 + 2
             } else {

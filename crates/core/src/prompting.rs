@@ -3,16 +3,15 @@
 //! models by CMA-ES through the black-box query interface.
 
 use crate::config::ShadowPrompting;
-use crate::resume::{Checkpointer, Decoder};
-use crate::{BpromConfig, BpromError, Result, ShadowModel, ShadowSet};
-use bprom_ckpt::Encoder;
+use crate::resume::{journaled, Checkpointer};
+use crate::{BpromConfig, Result, ShadowModel, ShadowSet};
 use bprom_data::Dataset;
 use bprom_qcache::CachingOracle;
 use bprom_regimes::RegimeOracle;
 use bprom_tensor::Rng;
 use bprom_vp::{
     train_prompt_backprop, train_prompt_cmaes_ckpt, BlackBoxModel, CkptTrainOutcome,
-    CmaesCheckpoint, LabelMap, PromptTrainReport, QueryOracle, VisualPrompt,
+    CmaesCheckpoint, LabelMap, QueryOracle, VisualPrompt,
 };
 
 /// A prompted shadow model: the prompt learned for it plus bookkeeping.
@@ -50,11 +49,7 @@ pub fn prompt_shadows(
 /// Like shadow training, each prompt runs from its own pre-forked RNG
 /// stream, so skipping a done unit discards that stream without touching
 /// the caller's.
-///
-/// # Errors
-///
-/// Propagates prompting and checkpoint failures.
-pub fn prompt_shadows_ckpt(
+pub(crate) fn prompt_shadows_ckpt(
     config: &BpromConfig,
     shadows: &mut ShadowSet,
     t_train: &Dataset,
@@ -74,84 +69,86 @@ pub fn prompt_shadows_ckpt(
             (i, shadow, child)
         })
         .collect();
-    bprom_par::par_map(jobs, |(i, shadow, mut rng)| -> Result<LearnedPrompt> {
+    bprom_par::par_map(jobs, |(i, shadow, mut rng)| {
         bprom_obs::span!("prompt_shadow");
-        let unit = format!("prompt-{i}");
-        if let Some(ck) = ckpt {
-            if ck.is_done(&unit) {
-                let bytes = ck.load_artifact(&unit)?;
-                let mut dec = Decoder::new(&bytes);
-                let prompt = VisualPrompt::restore(&mut dec)?;
-                let final_loss = dec.get_f32()?;
-                dec.finish().map_err(BpromError::from)?;
-                return Ok(LearnedPrompt { prompt, final_loss });
-            }
-        }
-        let mut prompt = VisualPrompt::random(
-            t_train.channels(),
-            config.image_size,
-            config.prompt_border,
-            &mut rng,
-        )?
-        .with_style(config.prompt_style);
-        let cmaes_name = format!("cmaes-prompt-{i}");
-        let final_loss = match config.shadow_prompting {
-            ShadowPrompting::Backprop => {
-                // Backprop prompting has no per-generation snapshots: an
-                // interrupted unit simply re-runs from its forked stream.
-                let report = train_prompt_backprop(
-                    &mut shadow.model,
-                    &mut prompt,
-                    &t_train.images,
-                    &t_train.labels,
-                    map,
-                    &config.prompt,
-                    &mut rng,
-                )?;
-                report.losses.last().copied().unwrap_or(f32::NAN)
-            }
-            ShadowPrompting::CmaEs => {
-                // Temporarily seal the shadow behind the oracle so the
-                // exact suspicious-model code path runs — including the
-                // query cache, whose policy comes from the same config as
-                // the suspicious-model side, and the declared oracle
-                // regime, so shadow prompts are searched under the same
-                // response contract the suspicious endpoint will enforce.
-                // The regime sits above the cache: cached entries keep
-                // full scores, degradation happens on the way out.
-                let model = std::mem::replace(&mut shadow.model, crate::shadow::empty_model());
-                let oracle = CachingOracle::new(QueryOracle::new(model, num_classes), config.cache);
-                let sealed = RegimeOracle::new(&oracle, config.regime);
-                let outcome = train_prompt_cmaes_ckpt(
-                    &sealed,
-                    &mut prompt,
-                    &t_train.images,
-                    &t_train.labels,
-                    map,
-                    &regime_prompt_config(config),
-                    &mut rng,
-                    ckpt.map(|ck| CmaesCheckpoint {
-                        store: ck.store(),
-                        name: &cmaes_name,
-                    }),
-                )?;
-                shadow.model = oracle.into_inner().into_inner();
-                outcome.report.losses.last().copied().unwrap_or(f32::NAN)
-            }
+        let learn = |rng: &mut Rng| -> Result<LearnedPrompt> {
+            let mut prompt = VisualPrompt::random(
+                t_train.channels(),
+                config.image_size,
+                config.prompt_border,
+                rng,
+            )?
+            .with_style(config.prompt_style);
+            let cmaes_name = format!("cmaes-prompt-{i}");
+            let final_loss = match config.shadow_prompting {
+                ShadowPrompting::Backprop => {
+                    // Backprop prompting has no per-generation snapshots:
+                    // an interrupted unit simply re-runs from its forked
+                    // stream.
+                    let report = train_prompt_backprop(
+                        &mut shadow.model,
+                        &mut prompt,
+                        &t_train.images,
+                        &t_train.labels,
+                        map,
+                        &config.prompt,
+                        rng,
+                    )?;
+                    report.losses.last().copied().unwrap_or(f32::NAN)
+                }
+                ShadowPrompting::CmaEs => {
+                    // Temporarily seal the shadow behind the oracle so the
+                    // exact suspicious-model code path runs — including
+                    // the query cache, whose policy comes from the same
+                    // config as the suspicious-model side, and the
+                    // declared oracle regime, so shadow prompts are
+                    // searched under the same response contract the
+                    // suspicious endpoint will enforce. The regime sits
+                    // above the cache: cached entries keep full scores,
+                    // degradation happens on the way out.
+                    let model = std::mem::replace(&mut shadow.model, crate::shadow::empty_model());
+                    let oracle =
+                        CachingOracle::new(QueryOracle::new(model, num_classes), config.cache);
+                    let sealed = RegimeOracle::new(&oracle, config.regime);
+                    let outcome = train_prompt_cmaes_ckpt(
+                        &sealed,
+                        &mut prompt,
+                        &t_train.images,
+                        &t_train.labels,
+                        map,
+                        &regime_prompt_config(config),
+                        rng,
+                        ckpt.map(|ck| CmaesCheckpoint {
+                            store: ck.store(),
+                            name: &cmaes_name,
+                        }),
+                    )?;
+                    shadow.model = oracle.into_inner().into_inner();
+                    outcome.report.losses.last().copied().unwrap_or(f32::NAN)
+                }
+            };
+            bprom_obs::counter_add("prompts.shadow", 1);
+            bprom_obs::log_event(
+                "prompt.shadow_learned",
+                [("index", i.into()), ("final_loss", final_loss.into())],
+            );
+            Ok(LearnedPrompt { prompt, final_loss })
         };
-        if let Some(ck) = ckpt {
-            let mut enc = Encoder::new();
-            prompt.persist(&mut enc);
-            enc.put_f32(final_loss);
-            ck.save_artifact(&unit, enc)?;
-            ck.mark_done(&unit)?;
-        }
-        bprom_obs::counter_add("prompts.shadow", 1);
-        bprom_obs::log_event(
-            "prompt.shadow_learned",
-            [("index", i.into()), ("final_loss", final_loss.into())],
-        );
-        Ok(LearnedPrompt { prompt, final_loss })
+        journaled(
+            ckpt,
+            &format!("prompt-{i}"),
+            &mut rng,
+            learn,
+            |enc, learned, _| {
+                learned.prompt.persist(enc);
+                enc.put_f32(learned.final_loss);
+            },
+            |dec, _| {
+                let prompt = VisualPrompt::restore(dec)?;
+                let final_loss = dec.get_f32()?;
+                Ok(LearnedPrompt { prompt, final_loss })
+            },
+        )
     })
     .into_iter()
     .collect()
@@ -170,25 +167,7 @@ fn regime_prompt_config(config: &BpromConfig) -> bprom_vp::PromptTrainConfig {
 /// Learns a prompt for the suspicious model using only black-box queries
 /// (gradient-free CMA-ES, as the paper specifies for `f_sus`).
 ///
-/// Returns the prompt and the full training report (queries consumed and
-/// candidates skipped over exhausted retries).
-///
-/// # Errors
-///
-/// Propagates prompting failures.
-pub fn prompt_suspicious(
-    config: &BpromConfig,
-    oracle: &dyn BlackBoxModel,
-    t_train: &Dataset,
-    map: &LabelMap,
-    rng: &mut Rng,
-) -> Result<(VisualPrompt, PromptTrainReport)> {
-    let (prompt, outcome) = prompt_suspicious_ckpt(config, oracle, t_train, map, rng, None)?;
-    Ok((prompt, outcome.report))
-}
-
-/// Checkpointed variant of [`prompt_suspicious`]: with a
-/// [`CmaesCheckpoint`], every CMA-ES generation snapshots the full
+/// With a [`CmaesCheckpoint`], every CMA-ES generation snapshots the full
 /// optimizer state, and a resumed call continues from the last completed
 /// generation with carried query/fault accounting (see
 /// [`CkptTrainOutcome`]).
@@ -196,7 +175,7 @@ pub fn prompt_suspicious(
 /// # Errors
 ///
 /// Propagates prompting and checkpoint failures.
-pub fn prompt_suspicious_ckpt(
+pub fn prompt_suspicious(
     config: &BpromConfig,
     oracle: &dyn BlackBoxModel,
     t_train: &Dataset,

@@ -1,7 +1,6 @@
 //! Detector evaluation: run a detector against a suspicious-model zoo and
 //! compute the paper's metrics (AUROC, F1) plus the exact query budget.
 
-use crate::resume::Checkpointer;
 use crate::{Bprom, Result, SuspiciousModel, Verdict};
 use bprom_metrics::{auroc, f1_score};
 use bprom_obs::{FromJson, ToJson, Value};
@@ -33,15 +32,6 @@ impl Scenario {
             Scenario::Backbone => "backbone",
         }
     }
-
-    /// Parses the wire form.
-    pub fn from_wire(s: &str) -> Option<Scenario> {
-        match s {
-            "downstream" => Some(Scenario::Downstream),
-            "backbone" => Some(Scenario::Backbone),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Scenario {
@@ -54,7 +44,7 @@ impl std::fmt::Display for Scenario {
 /// ground-truth label and a stable fingerprint taken before sealing.
 /// The generalization of [`SuspiciousModel`] that lets composite systems
 /// (e.g. the backbone scenario's frozen backbone + visual prompt) flow
-/// through [`evaluate_oracle_zoo`] unchanged.
+/// through [`evaluate_zoo`] unchanged.
 #[derive(Debug)]
 pub struct ZooEntry<B: BlackBoxModel> {
     /// Stable fingerprint over the system's parameters (audit identity).
@@ -110,6 +100,22 @@ pub struct DetectionReport {
     pub scenario: String,
 }
 
+/// Seals a suspicious-model zoo behind query oracles answering
+/// `num_classes` classes, fingerprinting each model before it disappears
+/// behind the query boundary.
+pub fn downstream_entries(
+    zoo: Vec<SuspiciousModel>,
+    num_classes: usize,
+) -> Vec<ZooEntry<QueryOracle>> {
+    zoo.into_iter()
+        .map(|suspicious| ZooEntry {
+            fingerprint: suspicious.fingerprint(),
+            backdoored: suspicious.backdoored,
+            oracle: QueryOracle::new(suspicious.model, num_classes),
+        })
+        .collect()
+}
+
 /// Inspects every model in the zoo and computes AUROC / F1.
 ///
 /// Consumes the zoo because inspection requires exclusive query access to
@@ -124,107 +130,28 @@ pub fn evaluate_detector(
     zoo: Vec<SuspiciousModel>,
     rng: &mut Rng,
 ) -> Result<DetectionReport> {
-    evaluate_detector_via(detector, zoo, rng, |detector, oracle, rng| {
-        detector.inspect(&oracle, rng)
-    })
-}
-
-/// Variant of [`evaluate_detector`] that delegates each inspection to a
-/// caller-supplied closure. The closure receives the sealed base oracle
-/// by value — already wrapped in the detector's query cache (see
-/// `bprom-qcache`; `CacheConfig::off()` makes the wrapper a passthrough)
-/// — and may stack arbitrary decorators on it (fault injection, retries,
-/// extra metering — see `bprom-faults`) before calling
-/// [`Bprom::inspect`]; fault/retry/cache totals from the verdicts are
-/// aggregated into the report.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain both
-/// clean and backdoored models.
-pub fn evaluate_detector_via<F>(
-    detector: &Bprom,
-    zoo: Vec<SuspiciousModel>,
-    rng: &mut Rng,
-    mut inspect: F,
-) -> Result<DetectionReport>
-where
-    F: FnMut(&Bprom, CachingOracle<QueryOracle>, &mut Rng) -> Result<Verdict>,
-{
-    evaluate_detector_ckpt(detector, zoo, rng, None, |detector, oracle, rng, _, _| {
-        inspect(detector, oracle, rng)
-    })
-}
-
-/// Checkpointed variant of [`evaluate_detector_via`]: the closure
-/// additionally receives the run's [`Checkpointer`] (if any) and the
-/// zoo index as a unit name, so it can route each inspection through
-/// [`Bprom::inspect_ckpt`]. Completed inspections are then skipped on
-/// resume and a killed run continues mid-CMA-ES-search.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored models.
-pub fn evaluate_detector_ckpt<F>(
-    detector: &Bprom,
-    zoo: Vec<SuspiciousModel>,
-    rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
-    inspect: F,
-) -> Result<DetectionReport>
-where
-    F: FnMut(
-        &Bprom,
-        CachingOracle<QueryOracle>,
-        &mut Rng,
-        Option<&Checkpointer>,
-        &str,
-    ) -> Result<Verdict>,
-{
     let num_classes = detector.config().source_dataset.num_classes();
-    let entries: Vec<ZooEntry<QueryOracle>> = zoo
-        .into_iter()
-        .map(|suspicious| ZooEntry {
-            // The fingerprint must be taken before the oracle seals the
-            // model behind the query boundary.
-            fingerprint: suspicious.fingerprint(),
-            backdoored: suspicious.backdoored,
-            oracle: QueryOracle::new(suspicious.model, num_classes),
-        })
-        .collect();
-    evaluate_oracle_zoo_ckpt(detector, Scenario::Downstream, entries, rng, ckpt, inspect)
-}
-
-/// [`evaluate_oracle_zoo_ckpt`] without checkpointing: inspects every
-/// sealed oracle with the plain [`Bprom::inspect`] path.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored entries.
-pub fn evaluate_oracle_zoo<B: BlackBoxModel>(
-    detector: &Bprom,
-    scenario: Scenario,
-    zoo: Vec<ZooEntry<B>>,
-    rng: &mut Rng,
-) -> Result<DetectionReport> {
-    evaluate_oracle_zoo_ckpt(
+    evaluate_zoo(
         detector,
-        scenario,
-        zoo,
+        Scenario::Downstream,
+        downstream_entries(zoo, num_classes),
         rng,
-        None,
-        |detector, oracle, rng, _, _| detector.inspect(&oracle, rng),
+        |detector, oracle, rng, _| detector.inspect(&oracle, rng),
     )
 }
 
-/// The fully general evaluation loop: any [`BlackBoxModel`] zoo, any
-/// workload [`Scenario`], any inspection decoration. Both
-/// [`evaluate_detector_ckpt`] (downstream `SuspiciousModel` zoos) and the
-/// backbone scenario's composite systems route through here, so metric
-/// aggregation, audit-record assembly, and the B013 scenario wiring live
-/// in exactly one place.
+/// The evaluation loop: any [`BlackBoxModel`] zoo, any workload
+/// [`Scenario`], any inspection decoration. Metric aggregation,
+/// audit-record assembly and the B013 scenario wiring live here only.
+///
+/// `inspect` receives each sealed oracle by value — already wrapped in
+/// the detector's query cache (see `bprom-qcache`; `CacheConfig::off()`
+/// makes the wrapper a passthrough) — plus the zoo index. It may stack
+/// decorators on the oracle (fault injection, retries, extra metering —
+/// see `bprom-faults`) and may route the inspection through
+/// [`Bprom::inspect_ckpt`] with the index as the unit name, so completed
+/// inspections are skipped on resume. Fault/retry/cache totals from the
+/// verdicts are aggregated into the report.
 ///
 /// Under [`Scenario::Backbone`] every audit's signals carry the
 /// clean-downstream-training attestation, so prompted-accuracy collapse
@@ -234,17 +161,16 @@ pub fn evaluate_oracle_zoo<B: BlackBoxModel>(
 ///
 /// Propagates inspection failures; AUROC requires the zoo to contain
 /// both clean and backdoored entries.
-pub fn evaluate_oracle_zoo_ckpt<B, F>(
+pub fn evaluate_zoo<B, F>(
     detector: &Bprom,
     scenario: Scenario,
     zoo: Vec<ZooEntry<B>>,
     rng: &mut Rng,
-    ckpt: Option<&Checkpointer>,
     mut inspect: F,
 ) -> Result<DetectionReport>
 where
     B: BlackBoxModel,
-    F: FnMut(&Bprom, CachingOracle<B>, &mut Rng, Option<&Checkpointer>, &str) -> Result<Verdict>,
+    F: FnMut(&Bprom, CachingOracle<B>, &mut Rng, usize) -> Result<Verdict>,
 {
     bprom_obs::span!("evaluate_detector");
     let mut scores = Vec::with_capacity(zoo.len());
@@ -266,7 +192,7 @@ where
         // content only, so sharing entries across models would serve one
         // model's confidences for another.
         let oracle = CachingOracle::new(entry.oracle, detector.config().cache);
-        let verdict = inspect(detector, oracle, rng, ckpt, &i.to_string())?;
+        let verdict = inspect(detector, oracle, rng, i)?;
         scores.push(verdict.score);
         labels.push(entry.backdoored);
         prompted_accuracies.push(verdict.prompted_accuracy);
@@ -280,18 +206,9 @@ where
         total_cache_evictions += verdict.budget.cache_evictions;
         // Rules stage: every inspection becomes an explainable audit
         // record, carried by the report and handed to any installed
-        // incident sink (e.g. the bench harness's TelemetryGuard). The
-        // scenario sets the clean-downstream attestation *before* rule
-        // evaluation so B013 can co-fire with accuracy collapse.
-        let mut signals = verdict.signals();
-        signals.clean_downstream_training = scenario == Scenario::Backbone;
-        let record = AuditRecord {
-            model: fingerprint,
-            regime: detector.config().regime.as_wire(),
-            scenario: scenario.as_wire().to_string(),
-            findings: detector.config().policy.evaluate(&signals),
-            signals,
-        };
+        // incident sink (e.g. the bench harness's TelemetryGuard).
+        let record =
+            detector.audit_record(fingerprint, scenario, &verdict, &detector.config().policy);
         bprom_obs::log_event(
             "audit.findings",
             [

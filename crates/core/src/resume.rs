@@ -19,10 +19,13 @@
 //! crash *between* artifact write and journal append merely re-runs the
 //! unit, which overwrites the artifact with identical bytes.
 //!
-//! The journal and store live in one directory (`BPROM_CKPT_DIR`); a
-//! `manifest` snapshot fingerprints the run (config + seed) so a stale
-//! directory from a different run is rejected instead of silently
-//! splicing mismatched state.
+//! Every unit goes through `journaled`, the one place that owns this
+//! protocol.
+//!
+//! The journal and store live in one directory (the path passed to
+//! [`Checkpointer::open`]); a `manifest` snapshot fingerprints the run
+//! (config + seed) so a stale directory from a different run is rejected
+//! instead of silently splicing mismatched state.
 
 use crate::{BpromError, Result};
 use bprom_ckpt::{crash_point, Encoder, Journal, SnapshotStore};
@@ -33,11 +36,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 pub use bprom_ckpt::Decoder;
-
-/// Environment variable naming the checkpoint directory. When set (and
-/// non-empty), binaries that support checkpointing persist their
-/// progress there and resume from it on restart.
-pub const CKPT_DIR_ENV: &str = "BPROM_CKPT_DIR";
 
 /// Coordinates the stage journal and artifact snapshots of one
 /// checkpointed pipeline run.
@@ -79,19 +77,6 @@ impl Checkpointer {
         })
     }
 
-    /// Opens the checkpointer named by [`CKPT_DIR_ENV`], or returns
-    /// `None` when the variable is unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Checkpointer::open`] failures.
-    pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(CKPT_DIR_ENV) {
-            Ok(dir) if !dir.is_empty() => Ok(Some(Self::open(dir)?)),
-            _ => Ok(None),
-        }
-    }
-
     /// The checkpoint directory.
     pub fn dir(&self) -> &Path {
         self.store.dir()
@@ -104,7 +89,7 @@ impl Checkpointer {
     }
 
     /// Whether `unit` completed in a previous (or this) process.
-    pub fn is_done(&self, unit: &str) -> bool {
+    fn is_done(&self, unit: &str) -> bool {
         self.done.lock().expect("done set poisoned").contains(unit)
     }
 
@@ -115,7 +100,7 @@ impl Checkpointer {
     /// # Errors
     ///
     /// Returns [`BpromError::Ckpt`] on journal I/O failure.
-    pub fn mark_done(&self, unit: &str) -> Result<()> {
+    fn mark_done(&self, unit: &str) -> Result<()> {
         self.journal
             .lock()
             .expect("journal poisoned")
@@ -133,7 +118,7 @@ impl Checkpointer {
     /// # Errors
     ///
     /// Returns [`BpromError::Ckpt`] on snapshot I/O failure.
-    pub fn save_artifact(&self, unit: &str, enc: Encoder) -> Result<()> {
+    fn save_artifact(&self, unit: &str, enc: Encoder) -> Result<()> {
         self.store.save(unit, &enc.into_bytes())?;
         Ok(())
     }
@@ -145,7 +130,7 @@ impl Checkpointer {
     ///
     /// Returns [`BpromError::Ckpt`] if the snapshot is missing or fails
     /// validation.
-    pub fn load_artifact(&self, unit: &str) -> Result<Vec<u8>> {
+    fn load_artifact(&self, unit: &str) -> Result<Vec<u8>> {
         Ok(self.store.load_required(unit)?)
     }
 
@@ -178,6 +163,49 @@ impl Checkpointer {
         crash_point("manifest");
         Ok(())
     }
+}
+
+/// Runs one journalled unit of work under the resume protocol.
+///
+/// If `ckpt` journals `unit` as done, the unit's artifact is loaded and
+/// handed to `decode`, and the decoder must then be fully consumed.
+/// Otherwise `compute` runs; with a checkpointer its result is encoded,
+/// the artifact is saved atomically, and only then is the unit journalled
+/// (crossing the `unit` crash point). A crash between save and journal
+/// re-runs the unit, which rewrites identical bytes.
+///
+/// `rng` is the stream the unit draws from. `encode` sees it after
+/// `compute` and `decode` may rewind it, so a unit that consumes the
+/// caller's stream records and restores its position here.
+///
+/// # Errors
+///
+/// Propagates `compute` failures, snapshot and journal I/O failures, and
+/// typed decode errors (truncated or trailing bytes) as
+/// [`BpromError::Ckpt`].
+pub(crate) fn journaled<T>(
+    ckpt: Option<&Checkpointer>,
+    unit: &str,
+    rng: &mut Rng,
+    compute: impl FnOnce(&mut Rng) -> Result<T>,
+    encode: impl FnOnce(&mut Encoder, &T, &Rng),
+    decode: impl FnOnce(&mut Decoder<'_>, &mut Rng) -> Result<T>,
+) -> Result<T> {
+    if let Some(ck) = ckpt.filter(|ck| ck.is_done(unit)) {
+        let bytes = ck.load_artifact(unit)?;
+        let mut dec = Decoder::new(&bytes);
+        let value = decode(&mut dec, rng)?;
+        dec.finish()?;
+        return Ok(value);
+    }
+    let value = compute(rng)?;
+    if let Some(ck) = ckpt {
+        let mut enc = Encoder::new();
+        encode(&mut enc, &value, rng);
+        ck.save_artifact(unit, enc)?;
+        ck.mark_done(unit)?;
+    }
+    Ok(value)
 }
 
 /// Fingerprints a run by its configuration (via `Debug`, which covers
@@ -286,6 +314,7 @@ mod tests {
     use super::*;
     use bprom_nn::models::{mlp, ModelSpec};
     use bprom_nn::{Layer, Mode};
+    use std::cell::Cell;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bprom-resume-{tag}-{}", std::process::id()));
@@ -305,6 +334,83 @@ mod tests {
         assert!(ck.is_done("shadow-0"));
         assert!(ck.is_done("shadow-1"));
         assert!(!ck.is_done("shadow-2"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A unit that draws three values from the caller's stream and
+    /// records the stream position with them; `calls` counts computes.
+    fn draw_unit(ck: Option<&Checkpointer>, calls: &Cell<u32>) -> Result<(Vec<u64>, u64)> {
+        let mut rng = Rng::new(5);
+        let drawn = journaled(
+            ck,
+            "draw",
+            &mut rng,
+            |rng| {
+                calls.set(calls.get() + 1);
+                Ok((0..3).map(|_| rng.next_u64()).collect::<Vec<u64>>())
+            },
+            |enc, drawn, rng| {
+                enc.put_u64s(drawn);
+                encode_rng(enc, rng);
+            },
+            |dec, rng| {
+                let drawn = dec.get_u64s()?;
+                *rng = decode_rng(dec)?;
+                Ok(drawn)
+            },
+        )?;
+        Ok((drawn, rng.next_u64()))
+    }
+
+    #[test]
+    fn journaled_unit_restores_value_and_stream_position() {
+        let dir = temp_dir("unit");
+        let calls = Cell::new(0);
+        let plain = draw_unit(None, &calls).unwrap();
+        let ck = Checkpointer::open(&dir).unwrap();
+        assert_eq!(draw_unit(Some(&ck), &calls).unwrap(), plain);
+        assert_eq!(calls.get(), 2, "an unjournalled unit computes");
+        drop(ck);
+        let ck = Checkpointer::open(&dir).unwrap();
+        assert_eq!(draw_unit(Some(&ck), &calls).unwrap(), plain);
+        assert_eq!(calls.get(), 2, "a journalled unit restores");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journaled_unit_rejects_malformed_artifacts_typed() {
+        let dir = temp_dir("malformed");
+        let ck = Checkpointer::open(&dir).unwrap();
+        draw_unit(Some(&ck), &Cell::new(0)).unwrap();
+        let good = ck.load_artifact("draw").unwrap();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let truncated = &good[..good.len() - 1];
+        for payload in [&trailing[..], truncated] {
+            ck.store().save("draw", payload).unwrap();
+            let calls = Cell::new(0);
+            let err = draw_unit(Some(&ck), &calls).unwrap_err();
+            assert!(matches!(err, BpromError::Ckpt(_)), "{err}");
+            assert_eq!(calls.get(), 0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unjournalled_artifact_is_recomputed() {
+        let dir = temp_dir("orphan");
+        let ck = Checkpointer::open(&dir).unwrap();
+        // A crash between the artifact save and the journal append leaves
+        // a stale artifact the journal never vouched for.
+        let mut enc = Encoder::new();
+        enc.put_u64s(&[9, 9, 9]);
+        encode_rng(&mut enc, &Rng::new(0));
+        ck.save_artifact("draw", enc).unwrap();
+        let calls = Cell::new(0);
+        let plain = draw_unit(None, &calls).unwrap();
+        assert_eq!(draw_unit(Some(&ck), &calls).unwrap(), plain);
+        assert_eq!(calls.get(), 2);
+        assert!(ck.is_done("draw"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,7 +2,7 @@
 //! Models"): clean shadows trained on `D_S`, backdoor shadows trained on
 //! poisoned copies `D_P` with per-shadow trigger/target variation.
 
-use crate::resume::{decode_model_into, encode_model, Checkpointer, Decoder};
+use crate::resume::{decode_model_into, encode_model, journaled, Checkpointer, Decoder};
 use crate::{BpromConfig, Result};
 use bprom_attacks::{poison_dataset, PoisonConfig};
 use bprom_ckpt::Encoder;
@@ -17,19 +17,26 @@ pub(crate) fn empty_model() -> Sequential {
     Sequential::new(Vec::new())
 }
 
+/// Serializes a trained shadow: its label, target class and weights.
+fn encode_shadow(enc: &mut Encoder, shadow: &ShadowModel) {
+    enc.put_bool(shadow.backdoored);
+    enc.put_bool(shadow.target_class.is_some());
+    if let Some(t) = shadow.target_class {
+        enc.put_usize(t);
+    }
+    encode_model(enc, &shadow.model);
+}
+
 /// Rebuilds a journalled shadow from its artifact snapshot: a fresh
 /// skeleton of the configured architecture (initialized from the
 /// shadow's private forked stream, which is then discarded) receives the
 /// snapshotted parameters and buffers.
-fn restore_shadow(
-    ck: &Checkpointer,
-    unit: &str,
+fn decode_shadow(
+    dec: &mut Decoder<'_>,
     config: &BpromConfig,
     spec: &ModelSpec,
     rng: &mut Rng,
 ) -> Result<ShadowModel> {
-    let bytes = ck.load_artifact(unit)?;
-    let mut dec = Decoder::new(&bytes);
     let backdoored = dec.get_bool()?;
     let target_class = if dec.get_bool()? {
         Some(dec.get_usize()?)
@@ -37,8 +44,7 @@ fn restore_shadow(
         None
     };
     let mut model = build(config.architecture, spec, rng)?;
-    decode_model_into(&mut dec, &mut model)?;
-    dec.finish()?;
+    decode_model_into(dec, &mut model)?;
     Ok(ShadowModel {
         model,
         backdoored,
@@ -94,11 +100,7 @@ impl ShadowSet {
     /// Each shadow trains from its own pre-forked RNG stream, so a
     /// restored shadow simply discards that stream — no RNG state needs
     /// recording, and the caller's stream is untouched either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/poisoning and checkpoint failures.
-    pub fn train_ckpt(
+    pub(crate) fn train_ckpt(
         config: &BpromConfig,
         ds: &Dataset,
         rng: &mut Rng,
@@ -118,66 +120,60 @@ impl ShadowSet {
             jobs.push((config.clean_shadows + i, true, rng.fork()));
         }
         let timed = bprom_obs::enabled();
-        let shadows = bprom_par::par_map(jobs, |(i, backdoored, mut rng)| -> Result<ShadowModel> {
-            let unit = format!("shadow-{i}");
-            if let Some(ck) = ckpt {
-                if ck.is_done(&unit) {
-                    return restore_shadow(ck, &unit, config, &spec, &mut rng);
+        let shadows = bprom_par::par_map(jobs, |(i, backdoored, mut rng)| {
+            let train = |rng: &mut Rng| -> Result<ShadowModel> {
+                let start = timed.then(std::time::Instant::now);
+                let (model, target_class) = if backdoored {
+                    // Fresh trigger instance per shadow (random pattern
+                    // components draw from the shadow's stream), fresh
+                    // target.
+                    let attack = config.shadow_attack.build(ds.image_size(), rng)?;
+                    let target = rng.below(ds.num_classes);
+                    let defaults = config.shadow_attack.default_config(target);
+                    let cfg = PoisonConfig::new(defaults.poison_rate, defaults.cover_rate, target);
+                    let poisoned = poison_dataset(ds, attack.as_ref(), &cfg, rng)?;
+                    let mut model = build(config.architecture, &spec, rng)?;
+                    trainer.fit(
+                        &mut model,
+                        &poisoned.dataset.images,
+                        &poisoned.dataset.labels,
+                        rng,
+                    )?;
+                    (model, Some(target))
+                } else {
+                    let mut model = build(config.architecture, &spec, rng)?;
+                    trainer.fit(&mut model, &ds.images, &ds.labels, rng)?;
+                    (model, None)
+                };
+                if let Some(start) = start {
+                    bprom_obs::observe("shadow.train_ns", start.elapsed().as_nanos() as u64);
+                    bprom_obs::counter_add(
+                        if backdoored {
+                            "shadows.backdoored"
+                        } else {
+                            "shadows.clean"
+                        },
+                        1,
+                    );
+                    bprom_obs::log_event(
+                        "shadow.trained",
+                        [("index", i.into()), ("backdoored", backdoored.into())],
+                    );
                 }
-            }
-            let start = timed.then(std::time::Instant::now);
-            let (model, target_class) = if backdoored {
-                // Fresh trigger instance per shadow (random pattern
-                // components draw from the shadow's stream), fresh target.
-                let attack = config.shadow_attack.build(ds.image_size(), &mut rng)?;
-                let target = rng.below(ds.num_classes);
-                let defaults = config.shadow_attack.default_config(target);
-                let cfg = PoisonConfig::new(defaults.poison_rate, defaults.cover_rate, target);
-                let poisoned = poison_dataset(ds, attack.as_ref(), &cfg, &mut rng)?;
-                let mut model = build(config.architecture, &spec, &mut rng)?;
-                trainer.fit(
-                    &mut model,
-                    &poisoned.dataset.images,
-                    &poisoned.dataset.labels,
-                    &mut rng,
-                )?;
-                (model, Some(target))
-            } else {
-                let mut model = build(config.architecture, &spec, &mut rng)?;
-                trainer.fit(&mut model, &ds.images, &ds.labels, &mut rng)?;
-                (model, None)
+                Ok(ShadowModel {
+                    model,
+                    backdoored,
+                    target_class,
+                })
             };
-            if let Some(start) = start {
-                bprom_obs::observe("shadow.train_ns", start.elapsed().as_nanos() as u64);
-                bprom_obs::counter_add(
-                    if backdoored {
-                        "shadows.backdoored"
-                    } else {
-                        "shadows.clean"
-                    },
-                    1,
-                );
-                bprom_obs::log_event(
-                    "shadow.trained",
-                    [("index", i.into()), ("backdoored", backdoored.into())],
-                );
-            }
-            if let Some(ck) = ckpt {
-                let mut enc = Encoder::new();
-                enc.put_bool(backdoored);
-                enc.put_bool(target_class.is_some());
-                if let Some(t) = target_class {
-                    enc.put_usize(t);
-                }
-                encode_model(&mut enc, &model);
-                ck.save_artifact(&unit, enc)?;
-                ck.mark_done(&unit)?;
-            }
-            Ok(ShadowModel {
-                model,
-                backdoored,
-                target_class,
-            })
+            journaled(
+                ckpt,
+                &format!("shadow-{i}"),
+                &mut rng,
+                train,
+                |enc, shadow, _| encode_shadow(enc, shadow),
+                |dec, rng| decode_shadow(dec, config, &spec, rng),
+            )
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;

@@ -3,11 +3,10 @@
 //! clean + 30 backdoored suspicious models per attack).
 
 use crate::resume::{
-    decode_model_into, decode_rng, encode_model, encode_rng, Checkpointer, Decoder,
+    decode_model_into, decode_rng, encode_model, encode_rng, journaled, Checkpointer,
 };
 use crate::{BpromError, Result};
 use bprom_attacks::{attack_success_rate, poison_dataset, AttackKind, PoisonConfig};
-use bprom_ckpt::Encoder;
 use bprom_data::SynthDataset;
 use bprom_nn::models::{build, Architecture, ModelSpec};
 use bprom_nn::{Sequential, TrainConfig, Trainer};
@@ -150,11 +149,56 @@ pub fn build_suspicious_zoo_ckpt(
     let mut zoo = Vec::with_capacity(config.clean + config.backdoored);
     for i in 0..config.clean + config.backdoored {
         let is_backdoored = i >= config.clean;
-        let unit = format!("zoo-{i}");
-        if let Some(ck) = ckpt {
-            if ck.is_done(&unit) {
-                let bytes = ck.load_artifact(&unit)?;
-                let mut dec = Decoder::new(&bytes);
+        let train = |rng: &mut Rng| -> Result<SuspiciousModel> {
+            let full = config.dataset.generate(
+                config.samples_per_class,
+                config.image_size,
+                rng.next_u64(),
+            )?;
+            let (train, test) = full.split(0.8, rng)?;
+            let mut model = build(config.architecture, &spec, rng)?;
+            let (accuracy, asr);
+            if is_backdoored {
+                let attack = config.attack.build(config.image_size, rng)?;
+                let poison_cfg = config.poison.unwrap_or_else(|| {
+                    config
+                        .attack
+                        .default_config(rng.below(config.dataset.num_classes()))
+                });
+                let poisoned = poison_dataset(&train, attack.as_ref(), &poison_cfg, rng)?;
+                trainer.fit(
+                    &mut model,
+                    &poisoned.dataset.images,
+                    &poisoned.dataset.labels,
+                    rng,
+                )?;
+                accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
+                asr = attack_success_rate(&mut model, attack.as_ref(), &test, &poison_cfg, rng)?;
+            } else {
+                trainer.fit(&mut model, &train.images, &train.labels, rng)?;
+                accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
+                asr = 0.0;
+            }
+            Ok(SuspiciousModel {
+                model,
+                backdoored: is_backdoored,
+                accuracy,
+                asr,
+            })
+        };
+        zoo.push(journaled(
+            ckpt,
+            &format!("zoo-{i}"),
+            rng,
+            train,
+            |enc, m, rng| {
+                enc.put_bool(m.backdoored);
+                enc.put_f32(m.accuracy);
+                enc.put_f32(m.asr);
+                encode_model(enc, &m.model);
+                encode_rng(enc, rng);
+            },
+            |dec, rng| {
                 let backdoored = dec.get_bool()?;
                 let accuracy = dec.get_f32()?;
                 let asr = dec.get_f32()?;
@@ -162,63 +206,16 @@ pub fn build_suspicious_zoo_ckpt(
                 // draws its construction makes are irrelevant because the
                 // recorded post-unit stream position is restored next.
                 let mut model = build(config.architecture, &spec, rng)?;
-                decode_model_into(&mut dec, &mut model)?;
-                let restored = decode_rng(&mut dec)?;
-                dec.finish()?;
-                *rng = restored;
-                zoo.push(SuspiciousModel {
+                decode_model_into(dec, &mut model)?;
+                *rng = decode_rng(dec)?;
+                Ok(SuspiciousModel {
                     model,
                     backdoored,
                     accuracy,
                     asr,
-                });
-                continue;
-            }
-        }
-        let full =
-            config
-                .dataset
-                .generate(config.samples_per_class, config.image_size, rng.next_u64())?;
-        let (train, test) = full.split(0.8, rng)?;
-        let mut model = build(config.architecture, &spec, rng)?;
-        let (accuracy, asr);
-        if is_backdoored {
-            let attack = config.attack.build(config.image_size, rng)?;
-            let poison_cfg = config.poison.unwrap_or_else(|| {
-                config
-                    .attack
-                    .default_config(rng.below(config.dataset.num_classes()))
-            });
-            let poisoned = poison_dataset(&train, attack.as_ref(), &poison_cfg, rng)?;
-            trainer.fit(
-                &mut model,
-                &poisoned.dataset.images,
-                &poisoned.dataset.labels,
-                rng,
-            )?;
-            accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
-            asr = attack_success_rate(&mut model, attack.as_ref(), &test, &poison_cfg, rng)?;
-        } else {
-            trainer.fit(&mut model, &train.images, &train.labels, rng)?;
-            accuracy = trainer.evaluate(&mut model, &test.images, &test.labels)?;
-            asr = 0.0;
-        }
-        if let Some(ck) = ckpt {
-            let mut enc = Encoder::new();
-            enc.put_bool(is_backdoored);
-            enc.put_f32(accuracy);
-            enc.put_f32(asr);
-            encode_model(&mut enc, &model);
-            encode_rng(&mut enc, rng);
-            ck.save_artifact(&unit, enc)?;
-            ck.mark_done(&unit)?;
-        }
-        zoo.push(SuspiciousModel {
-            model,
-            backdoored: is_backdoored,
-            accuracy,
-            asr,
-        });
+                })
+            },
+        )?);
     }
     Ok(zoo)
 }

@@ -5,10 +5,11 @@
 //! quantize probabilities, truncate to top-k, or refuse to return
 //! anything but a label. This crate makes that regime reproducible:
 //!
-//! * **[`FaultyOracle`]** decorates any [`BlackBoxModel`] with a seeded,
-//!   composable [`FaultPlan`] — [`Transient`] drops, [`RateLimit`]
-//!   windows, [`Quantize`]d / [`TopK`]-truncated / [`LabelOnly`] /
-//!   [`Jitter`]ed responses, or a [`Stack`] of several.
+//! * **[`FaultyOracle`]** decorates any
+//!   [`BlackBoxModel`](bprom_vp::BlackBoxModel) with a seeded, composable
+//!   [`FaultPlan`] — [`Transient`] drops, [`RateLimit`] windows,
+//!   [`Quantize`]d / [`TopK`]-truncated / [`LabelOnly`] / [`Jitter`]ed
+//!   responses, or a [`Stack`] of several.
 //! * **[`RetryingOracle`]** absorbs the transient faults with bounded
 //!   exponential backoff on a *virtual* clock ([`RetryPolicy`]): no
 //!   wall-time is ever slept, but the would-be latency is accounted in
@@ -25,10 +26,10 @@
 //!   for RNG streams. ([`RateLimit`] is the documented exception.)
 //!
 //! Consumers never deal with faults directly: the plain
-//! [`BlackBoxModel::query`] path retries transparently, and a query that
-//! exhausts its budget surfaces as the typed
-//! [`bprom_vp::VpError::OracleFault`], which CMA-ES candidate evaluation
-//! converts into an infinite skip-penalty instead of aborting.
+//! [`BlackBoxModel::query`](bprom_vp::BlackBoxModel::query) path retries
+//! transparently, and a query that exhausts its budget surfaces as the
+//! typed [`bprom_vp::VpError::OracleFault`], which CMA-ES candidate
+//! evaluation converts into an infinite skip-penalty instead of aborting.
 //!
 //! # Example
 //!
@@ -67,35 +68,12 @@ pub use plan::{
 };
 pub use retry::{RetryPolicy, RetryingOracle};
 
-use bprom_vp::BlackBoxModel;
-
-/// Runs `f` against `oracle` wrapped according to the env-selected
-/// [`FaultProfile`] (`BPROM_FAULT_PROFILE`): under `hostile`, the oracle
-/// goes behind the profile's fault plan and retry policy; otherwise `f`
-/// sees it untouched. This is the hook the integration-test helpers use
-/// so the whole suite can run against hostile oracles in CI.
-pub fn with_env_profile<R>(
-    oracle: &dyn BlackBoxModel,
-    seed: u64,
-    f: impl FnOnce(&dyn BlackBoxModel) -> R,
-) -> R {
-    let profile = FaultProfile::from_env();
-    match profile {
-        FaultProfile::Off => f(oracle),
-        FaultProfile::Hostile => {
-            let faulty = FaultyOracle::new(oracle, profile.plan(), seed);
-            let retrying = RetryingOracle::new(&faulty, profile.retry_policy());
-            f(&retrying)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bprom_nn::models::{mlp, ModelSpec};
     use bprom_tensor::{Rng, Tensor};
-    use bprom_vp::QueryOracle;
+    use bprom_vp::{BlackBoxModel, QueryOracle};
 
     #[test]
     fn env_profile_off_is_passthrough() {
@@ -106,7 +84,7 @@ mod tests {
         let oracle = QueryOracle::new(mlp(&ModelSpec::new(3, 8, 5), &mut rng).unwrap(), 5);
         let batch = Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
         let direct = oracle.query(&batch).unwrap();
-        let via = with_env_profile(&oracle, 42, |o| o.query(&batch).unwrap());
+        let via = FaultProfile::from_env().wrap(&oracle, 42, |o| o.query(&batch).unwrap());
         if FaultProfile::from_env() == FaultProfile::Off {
             assert_eq!(via, direct);
         } else {

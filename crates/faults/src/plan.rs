@@ -11,7 +11,7 @@
 //! [`FaultyOracle`]: crate::FaultyOracle
 
 use bprom_tensor::{Rng, Tensor};
-use bprom_vp::QueryFault;
+use bprom_vp::{BlackBoxModel, QueryFault};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One layer of hostile-endpoint behaviour.
@@ -292,6 +292,28 @@ impl FaultProfile {
     /// The retry policy paired with this profile.
     pub fn retry_policy(&self) -> crate::RetryPolicy {
         crate::RetryPolicy::default()
+    }
+
+    /// Runs `f` against `oracle` wrapped in this profile: under
+    /// [`FaultProfile::Hostile`] the oracle goes behind the profile's
+    /// fault plan (seeded with `seed`) and retry policy; under
+    /// [`FaultProfile::Off`] `f` sees it untouched. With
+    /// [`FaultProfile::from_env`] this is the hook that lets a whole test
+    /// suite run against hostile oracles in CI.
+    pub fn wrap<R>(
+        self,
+        oracle: &dyn BlackBoxModel,
+        seed: u64,
+        f: impl FnOnce(&dyn BlackBoxModel) -> R,
+    ) -> R {
+        match self {
+            FaultProfile::Off => f(oracle),
+            FaultProfile::Hostile => {
+                let faulty = crate::FaultyOracle::new(oracle, self.plan(), seed);
+                let retrying = crate::RetryingOracle::new(&faulty, self.retry_policy());
+                f(&retrying)
+            }
+        }
     }
 }
 

@@ -12,21 +12,17 @@
 //! 3. Adapt it downstream with a visual prompt + identity label map
 //!    trained on *clean* downstream data only.
 //!
-//! The resulting composites flow through `evaluate_oracle_zoo` under
-//! [`Scenario::Backbone`], so every audit record carries the
-//! clean-downstream-training attestation and prompted-accuracy collapse
-//! raises rule `B013` ("backbone-implanted backdoor suspected").
+//! The resulting composites flow through `bprom::evaluate_zoo` under
+//! `Scenario::Backbone` (see [`backbone_entries`]), so every audit record
+//! carries the clean-downstream-training attestation and prompted-accuracy
+//! collapse raises rule `B013` ("backbone-implanted backdoor suspected").
 
 use crate::PromptedBackbone;
-use bprom::{
-    evaluate_oracle_zoo, evaluate_oracle_zoo_ckpt, Bprom, BpromError, DetectionReport, Result,
-    Scenario, Verdict, ZooEntry,
-};
+use bprom::{BpromError, Result, ZooEntry};
 use bprom_attacks::{attack_success_rate, poison_dataset, AttackKind, PoisonConfig};
 use bprom_data::SynthDataset;
 use bprom_nn::models::{build, Architecture, ModelSpec};
 use bprom_nn::{Sequential, TrainConfig, Trainer};
-use bprom_qcache::CachingOracle;
 use bprom_tensor::Rng;
 use bprom_vp::{
     prompted_accuracy, train_prompt_backprop, LabelMap, PromptStyle, PromptTrainConfig,
@@ -255,7 +251,12 @@ pub fn build_backbone_zoo(
     Ok(zoo)
 }
 
-fn entries(zoo: Vec<BackboneSystem>) -> Vec<ZooEntry<PromptedBackbone>> {
+/// The backbone zoo as sealed [`ZooEntry`]s (fingerprints were taken
+/// before sealing), ready for `bprom::evaluate_zoo` under
+/// [`Scenario::Backbone`].
+///
+/// [`Scenario::Backbone`]: bprom::Scenario::Backbone
+pub fn backbone_entries(zoo: Vec<BackboneSystem>) -> Vec<ZooEntry<PromptedBackbone>> {
     zoo.into_iter()
         .map(|s| ZooEntry {
             fingerprint: s.fingerprint,
@@ -263,50 +264,6 @@ fn entries(zoo: Vec<BackboneSystem>) -> Vec<ZooEntry<PromptedBackbone>> {
             oracle: s.system,
         })
         .collect()
-}
-
-/// Inspects every composite in the backbone zoo under
-/// [`Scenario::Backbone`] and computes AUROC / F1 (see
-/// [`evaluate_oracle_zoo`]).
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored composites.
-pub fn evaluate_backbone_zoo(
-    detector: &Bprom,
-    zoo: Vec<BackboneSystem>,
-    rng: &mut Rng,
-) -> Result<DetectionReport> {
-    evaluate_oracle_zoo(detector, Scenario::Backbone, entries(zoo), rng)
-}
-
-/// Variant of [`evaluate_backbone_zoo`] that delegates each inspection to
-/// a caller-supplied closure, for stacking hostile decorators (fault
-/// injection, retries) on the sealed cached composite — the backbone
-/// analogue of `bprom::evaluate_detector_via`.
-///
-/// # Errors
-///
-/// Propagates inspection failures; AUROC requires the zoo to contain
-/// both clean and backdoored composites.
-pub fn evaluate_backbone_zoo_via<F>(
-    detector: &Bprom,
-    zoo: Vec<BackboneSystem>,
-    rng: &mut Rng,
-    mut inspect: F,
-) -> Result<DetectionReport>
-where
-    F: FnMut(&Bprom, CachingOracle<PromptedBackbone>, &mut Rng) -> Result<Verdict>,
-{
-    evaluate_oracle_zoo_ckpt(
-        detector,
-        Scenario::Backbone,
-        entries(zoo),
-        rng,
-        None,
-        |detector, oracle, rng, _, _| inspect(detector, oracle, rng),
-    )
 }
 
 #[cfg(test)]

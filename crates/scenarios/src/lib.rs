@@ -13,7 +13,7 @@
 //! `BlackBoxModel`, so the whole detection stack (BPROM inspection, query
 //! caches, fault/retry decorators, oracle regimes, the fleet audit
 //! engine) runs on it unchanged. Evaluation routes through
-//! `bprom::evaluate_oracle_zoo` under `Scenario::Backbone`, which stamps
+//! `bprom::evaluate_zoo` under `Scenario::Backbone`, which stamps
 //! the clean-downstream-training attestation into every audit record so
 //! prompted-accuracy collapse raises rule `B013` ("backbone-implanted
 //! backdoor suspected") instead of implicating the tuning data.
@@ -22,7 +22,7 @@ mod backbone;
 mod composite;
 
 pub use backbone::{
-    build_backbone_zoo, composite_fingerprint, evaluate_backbone_zoo, evaluate_backbone_zoo_via,
-    BackboneScenarioConfig, BackboneSystem,
+    backbone_entries, build_backbone_zoo, composite_fingerprint, BackboneScenarioConfig,
+    BackboneSystem,
 };
 pub use composite::PromptedBackbone;

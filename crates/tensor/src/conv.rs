@@ -422,7 +422,7 @@ fn pad_into(input: &Tensor, pad: usize, dst: &mut [f32]) {
 /// `input` is `[n, c, h, w]`, `weight` is `[o, c, kh, kw]`, output is
 /// `[n, o, oh, ow]` with `oh = (h + 2p - kh) / s + 1`.
 ///
-/// The batch is lowered through the virtual-im2col [`ColPacker`] into a
+/// The batch is lowered through the virtual-im2col `ColPacker` into a
 /// single `[o, k] × [k, n·oh·ow]` GEMM; results are bit-identical to the
 /// per-sample reference ([`crate::reference::conv2d_reference`]).
 ///
@@ -738,7 +738,7 @@ fn select_bwd_input() -> BwdInputFn {
 /// Gradient of a convolution with respect to its input.
 ///
 /// Each sample's `[o, k]ᵀ × [o, oh·ow]` column gradient is combined in
-/// cache and scattered back with [`col2im_sample`] in one fused pass;
+/// cache and scattered back with `col2im_sample` in one fused pass;
 /// bit-identical to the per-sample reference.
 ///
 /// # Errors

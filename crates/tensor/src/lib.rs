@@ -13,8 +13,8 @@
 //!   simplicity pays off in testability.
 //! * Every rank-2 product (`matmul`/`matmul_tn`/`matmul_nt`) and both
 //!   convolution directions run on one packed, cache-blocked GEMM driver
-//!   ([`kernels`] + [`pack`], threaded over `bprom-par`), with the
-//!   pre-kernel scalar implementations retained in [`reference`] as
+//!   (`kernels` + `pack`, threaded over `bprom-par`), with the
+//!   pre-kernel scalar implementations retained in [`mod@reference`] as
 //!   correctness oracles and benchmark baselines. The driver's fixed
 //!   k-accumulation order keeps results byte-identical at any
 //!   `BPROM_THREADS`.

@@ -1,7 +1,7 @@
 //! Retained pre-kernel reference implementations.
 //!
 //! These are the exact matmul/conv code paths the workspace shipped
-//! before the packed-GEMM kernel layer ([`crate::kernels`]) replaced
+//! before the packed-GEMM kernel layer (`crate::kernels`) replaced
 //! them, kept for two jobs:
 //!
 //! * **Correctness oracles.** The kernel property sweep

@@ -123,12 +123,6 @@ impl VerdictPipeline {
         self.records.last().expect("just pushed")
     }
 
-    /// Ingest an audit whose rules stage already ran (e.g. an
-    /// `AuditRecord` carried by a `DetectionReport`).
-    pub fn ingest(&mut self, record: AuditRecord) {
-        self.records.push(record);
-    }
-
     /// Number of audits collected so far.
     pub fn audits(&self) -> usize {
         self.records.len()

@@ -20,12 +20,12 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo_ckpt, evaluate_detector_ckpt, Bprom, BpromConfig, Checkpointer,
-    DetectionReport, ZooConfig,
+    build_suspicious_zoo_ckpt, downstream_entries, evaluate_zoo, Bprom, BpromConfig, Checkpointer,
+    DetectionReport, Scenario, ZooConfig,
 };
 use bprom_suite::ckpt::{crossings, CRASH_EXIT_CODE};
 use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
+use bprom_suite::faults::FaultProfile;
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::tensor::Rng;
@@ -65,23 +65,20 @@ fn run_pipeline(hostile: bool, ck: Option<&Checkpointer>) -> DetectionReport {
         ..TrainConfig::default()
     };
     let zoo = build_suspicious_zoo_ckpt(&zoo_cfg, &mut rng, ck).expect("zoo failed");
-    let mut report = evaluate_detector_ckpt(
+    let profile = if hostile {
+        FaultProfile::Hostile
+    } else {
+        FaultProfile::Off
+    };
+    let mut report = evaluate_zoo(
         &detector,
-        zoo,
+        Scenario::Downstream,
+        downstream_entries(zoo, config.source_dataset.num_classes()),
         &mut rng,
-        ck,
-        |detector, oracle, rng, ck, unit| {
-            if hostile {
-                let plan = Stack(vec![
-                    Box::new(Transient { rate: 0.1 }),
-                    Box::new(Quantize { decimals: 3 }),
-                ]);
-                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-                detector.inspect_ckpt(&retrying, rng, ck, unit)
-            } else {
-                detector.inspect_ckpt(&oracle, rng, ck, unit)
-            }
+        |detector, oracle, rng, i| {
+            profile.wrap(&oracle, 0xFA17, |o| {
+                detector.inspect_ckpt(o, rng, ck, &i.to_string())
+            })
         },
     )
     .expect("evaluate failed");
@@ -123,8 +120,7 @@ fn spawn_run(
         .arg(threads.to_string())
         .arg("--out")
         .arg(out)
-        .env_remove("BPROM_CRASH_AFTER")
-        .env_remove("BPROM_CKPT_DIR");
+        .env_remove("BPROM_CRASH_AFTER");
     if hostile {
         cmd.arg("--hostile");
     }

@@ -14,7 +14,6 @@ fn sweep(points: &str) {
     let status = Command::new(env!("CARGO_BIN_EXE_ckpt_fixture"))
         .args(["--sweep", "--threads", "2", "--points", points])
         .env_remove("BPROM_CRASH_AFTER")
-        .env_remove("BPROM_CKPT_DIR")
         .status()
         .expect("spawn ckpt_fixture");
     assert!(status.success(), "kill-resume sweep failed: {status}");

@@ -20,7 +20,7 @@ use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{build_suspicious_zoo, Bprom, BpromConfig, Verdict, ZooConfig};
 use bprom_suite::data::SynthDataset;
 use bprom_suite::faults::{
-    with_env_profile, FaultyOracle, Quantize, RetryPolicy, RetryingOracle, TopK, Transient,
+    FaultProfile, FaultyOracle, Quantize, RetryPolicy, RetryingOracle, TopK, Transient,
 };
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::obs;
@@ -148,7 +148,7 @@ fn verdicts_survive_hostile_oracles() {
 
         // --- Env-selected profile (exercised for real by the hostile CI
         // job, a passthrough otherwise): decision unchanged. ---
-        let profiled = with_env_profile(oracle, 0xFA04, |o| inspect(&detector, o));
+        let profiled = FaultProfile::from_env().wrap(oracle, 0xFA04, |o| inspect(&detector, o));
         assert_eq!(
             decide(profiled.score),
             decide(baseline.score),

@@ -14,10 +14,10 @@
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::audit::{AuditEngine, AuditRequest, DetectorSpec, FleetReport, ShadowZooRegistry};
 use bprom_suite::bprom::{
-    build_suspicious_zoo, Bprom, BpromConfig, CacheConfig, Verdict, ZooConfig,
+    build_suspicious_zoo, Bprom, BpromConfig, CacheConfig, Scenario, Verdict, ZooConfig,
 };
 use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
+use bprom_suite::faults::FaultProfile;
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::qcache::CachingOracle;
@@ -92,16 +92,12 @@ fn inspect(
     oracle: &CachingOracle<QueryOracle>,
     rng: &mut Rng,
 ) -> bprom_suite::bprom::Result<Verdict> {
-    if !hostile {
-        return detector.inspect(oracle, rng);
-    }
-    let plan = Stack(vec![
-        Box::new(Transient { rate: 0.1 }),
-        Box::new(Quantize { decimals: 3 }),
-    ]);
-    let faulty = FaultyOracle::new(oracle, plan, 0xFA17);
-    let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-    detector.inspect(&retrying, rng)
+    let profile = if hostile {
+        FaultProfile::Hostile
+    } else {
+        FaultProfile::Off
+    };
+    profile.wrap(oracle, 0xFA17, |o| detector.inspect(o, rng))
 }
 
 /// N independent single-model runs: no engine, no registry — each audit
@@ -126,13 +122,7 @@ fn independent_runs(config: &BpromConfig, hostile: bool) -> (Vec<AuditRecord>, I
             &mut Rng::new(request.inspect_seed),
         )
         .unwrap();
-        records.push(AuditRecord {
-            model: fingerprint,
-            regime: config.regime.as_wire(),
-            scenario: "downstream".to_string(),
-            signals: verdict.signals(),
-            findings: verdict.findings(&policy),
-        });
+        records.push(detector.audit_record(fingerprint, Scenario::Downstream, &verdict, &policy));
     }
     let incident = IncidentReport::assemble(FLEET_LABEL, &policy, Mode::Strict, &records);
     (records, incident)

@@ -19,14 +19,16 @@
 //! `BPROM_ORACLE_REGIME`) cannot drift the pinned numbers; thread count
 //! is already report-invariant.
 
+mod common;
+
 use bprom_suite::attacks::AttackKind;
-use bprom_suite::bprom::{Bprom, BpromConfig, CacheConfig, DetectionReport, OracleRegime};
-use bprom_suite::data::SynthDataset;
-use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
-use bprom_suite::nn::TrainConfig;
-use bprom_suite::scenarios::{
-    build_backbone_zoo, evaluate_backbone_zoo_via, BackboneScenarioConfig,
+use bprom_suite::bprom::{
+    evaluate_zoo, Bprom, BpromConfig, CacheConfig, DetectionReport, OracleRegime, Scenario,
 };
+use bprom_suite::data::SynthDataset;
+use bprom_suite::faults::FaultProfile;
+use bprom_suite::nn::TrainConfig;
+use bprom_suite::scenarios::{backbone_entries, build_backbone_zoo, BackboneScenarioConfig};
 use bprom_suite::tensor::Rng;
 use bprom_suite::vp::PromptTrainConfig;
 use std::path::PathBuf;
@@ -78,64 +80,24 @@ fn golden_report(seed: u64) -> DetectionReport {
     };
     let zoo = build_backbone_zoo(&zoo_cfg, &mut rng).unwrap();
 
-    let mut report =
-        evaluate_backbone_zoo_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap();
+    let mut report = evaluate_zoo(
+        &detector,
+        Scenario::Backbone,
+        backbone_entries(zoo),
+        &mut rng,
+        |detector, oracle, rng, _| {
+            FaultProfile::Hostile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, rng))
+        },
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }
 
-/// Line-level diff of two serialized reports: `None` when identical,
-/// otherwise a readable summary of every divergent line.
-fn diff_lines(want: &str, got: &str) -> Option<String> {
-    if want == got {
-        return None;
-    }
-    let want_lines: Vec<&str> = want.lines().collect();
-    let got_lines: Vec<&str> = got.lines().collect();
-    let mut out = String::new();
-    for i in 0..want_lines.len().max(got_lines.len()) {
-        let w = want_lines.get(i).copied().unwrap_or("<missing>");
-        let g = got_lines.get(i).copied().unwrap_or("<missing>");
-        if w != g {
-            out.push_str(&format!("  line {}:\n    -{w}\n    +{g}\n", i + 1));
-        }
-    }
-    Some(out)
-}
-
 fn assert_matches_fixture(seed: u64) {
     let got = golden_report(seed).to_json().unwrap();
-    let path = fixture_path(seed);
-    if std::env::var("BPROM_BLESS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             BPROM_BLESS=1 cargo test --test golden_backbone",
-            path.display()
-        )
-    });
-    if let Some(diff) = diff_lines(&want, &got) {
-        panic!(
-            "backbone detection report for seed {seed} drifted from {} \
-             (-fixture / +current):\n{diff}\
-             If the change is intentional, re-bless with \
-             BPROM_BLESS=1 cargo test --test golden_backbone",
-            path.display()
-        );
-    }
+    let what = format!("backbone detection report for seed {seed}");
+    common::assert_golden(&fixture_path(seed), &got, &what);
 }
 
 #[test]
@@ -161,13 +123,7 @@ fn golden_backbone_seed_2024() {
 fn fixtures_parse_and_one_bit_drift_is_detected() {
     for seed in [42u64, 1337, 2024] {
         let path = fixture_path(seed);
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden fixture {} ({e}); regenerate with \
-                 BPROM_BLESS=1 cargo test --test golden_backbone",
-                path.display()
-            )
-        });
+        let want = common::read_fixture(&path);
         let report = DetectionReport::from_json(&want).unwrap();
         assert_eq!(report.scenario, "backbone");
         assert_eq!(report.scores.len(), 2);
@@ -198,7 +154,7 @@ fn fixtures_parse_and_one_bit_drift_is_detected() {
         let old = bytes[pos];
         bytes[pos] = if old == b'9' { b'8' } else { old + 1 };
         let perturbed = String::from_utf8(bytes).unwrap();
-        let diff = diff_lines(&want, &perturbed).expect("perturbation must be detected");
+        let diff = common::diff_lines(&want, &perturbed).expect("perturbation must be detected");
         assert!(diff.contains("line "));
     }
 }

@@ -21,10 +21,12 @@
 //! BPROM_BLESS=1 cargo test --test incident
 //! ```
 
+mod common;
+
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector_via, Bprom, BpromConfig, CacheConfig, DetectionReport,
-    OracleRegime, ZooConfig,
+    build_suspicious_zoo, downstream_entries, evaluate_zoo, Bprom, BpromConfig, CacheConfig,
+    DetectionReport, OracleRegime, Scenario, ZooConfig,
 };
 use bprom_suite::data::SynthDataset;
 use bprom_suite::faults::{FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack, Transient};
@@ -33,7 +35,6 @@ use bprom_suite::qcache::CachingOracle;
 use bprom_suite::tensor::Rng;
 use bprom_suite::verdict::{validate_incident, Action, IncidentReport, Mode, RuleId, RulePolicy};
 use bprom_suite::vp::PromptTrainConfig;
-use std::cell::Cell;
 use std::path::PathBuf;
 
 fn fixture_path(mode: Mode, seed: u64) -> PathBuf {
@@ -116,77 +117,37 @@ fn fixture_report(seed: u64) -> DetectionReport {
     };
     zoo.extend(build_suspicious_zoo(&bad_cfg, &mut rng).unwrap());
 
-    let audit_index = Cell::new(0usize);
-    evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-        let i = audit_index.get();
-        audit_index.set(i + 1);
-        if i == 0 {
-            // Zoo order is clean-first: the clean model's provider is
-            // well behaved.
-            detector.inspect(&oracle, rng)
-        } else {
-            // Bounded-LRU eviction and hit tallies are arrival-ordered
-            // (the qcache equivalence suite scrubs them across its
-            // matrix for the same reason), so the hostile leg pins a
-            // single worker to keep the pinned evidence bytes
-            // schedule-independent at any BPROM_THREADS setting.
-            bprom_suite::par::set_thread_count(1);
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.25 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            let memo = CachingOracle::new(retrying, CacheConfig::lru(64));
-            let verdict = detector.inspect(&memo, rng);
-            bprom_suite::par::set_thread_count(0);
-            verdict
-        }
-    })
+    evaluate_zoo(
+        &detector,
+        Scenario::Downstream,
+        downstream_entries(zoo, config.source_dataset.num_classes()),
+        &mut rng,
+        |detector, oracle, rng, i| {
+            if i == 0 {
+                // Zoo order is clean-first: the clean model's provider is
+                // well behaved.
+                detector.inspect(&oracle, rng)
+            } else {
+                // Bounded-LRU eviction and hit tallies are arrival-ordered
+                // (the qcache equivalence suite scrubs them across its
+                // matrix for the same reason), so the hostile leg pins a
+                // single worker to keep the pinned evidence bytes
+                // schedule-independent at any BPROM_THREADS setting.
+                bprom_suite::par::set_thread_count(1);
+                let plan = Stack(vec![
+                    Box::new(Transient { rate: 0.25 }),
+                    Box::new(Quantize { decimals: 3 }),
+                ]);
+                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
+                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
+                let memo = CachingOracle::new(retrying, CacheConfig::lru(64));
+                let verdict = detector.inspect(&memo, rng);
+                bprom_suite::par::set_thread_count(0);
+                verdict
+            }
+        },
+    )
     .unwrap()
-}
-
-fn diff_lines(want: &str, got: &str) -> Option<String> {
-    if want == got {
-        return None;
-    }
-    let want_lines: Vec<&str> = want.lines().collect();
-    let got_lines: Vec<&str> = got.lines().collect();
-    let mut out = String::new();
-    for i in 0..want_lines.len().max(got_lines.len()) {
-        let w = want_lines.get(i).copied().unwrap_or("<missing>");
-        let g = got_lines.get(i).copied().unwrap_or("<missing>");
-        if w != g {
-            out.push_str(&format!("  line {}:\n    -{w}\n    +{g}\n", i + 1));
-        }
-    }
-    Some(out)
-}
-
-fn assert_matches(mode: Mode, seed: u64, got: &str) {
-    let path = fixture_path(mode, seed);
-    if std::env::var("BPROM_BLESS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing incident fixture {} ({e}); regenerate with \
-             BPROM_BLESS=1 cargo test --test incident",
-            path.display()
-        )
-    });
-    if let Some(diff) = diff_lines(&want, got) {
-        panic!(
-            "incident report {}/seed {seed} drifted from {} \
-             (-fixture / +current):\n{diff}\
-             If the change is intentional, re-bless with \
-             BPROM_BLESS=1 cargo test --test incident",
-            mode.as_str(),
-            path.display()
-        );
-    }
 }
 
 fn check_seed(seed: u64) {
@@ -246,7 +207,8 @@ fn check_seed(seed: u64) {
                 mode.as_str()
             )
         });
-        assert_matches(mode, seed, &text);
+        let what = format!("incident report {}/seed {seed}", mode.as_str());
+        common::assert_golden(&fixture_path(mode, seed), &text, &what);
     }
 }
 
@@ -272,13 +234,7 @@ fn fixtures_round_trip_and_validate() {
     for seed in [42u64, 1337, 2024] {
         for mode in [Mode::Strict, Mode::Learning] {
             let path = fixture_path(mode, seed);
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing incident fixture {} ({e}); regenerate with \
-                     BPROM_BLESS=1 cargo test --test incident",
-                    path.display()
-                )
-            });
+            let text = common::read_fixture(&path);
             let report = IncidentReport::from_json_str(&text).unwrap();
             assert_eq!(
                 report.schema_version,

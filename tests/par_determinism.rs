@@ -7,21 +7,17 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector, evaluate_detector_via, Bprom, BpromConfig,
-    DetectionReport, OracleRegime, ZooConfig,
+    build_suspicious_zoo, downstream_entries, evaluate_zoo, Bprom, BpromConfig, DetectionReport,
+    OracleRegime, Scenario, ZooConfig,
 };
 use bprom_suite::data::SynthDataset;
 use bprom_suite::defenses::trigger_inversion::{invert_trigger, TriggerInversionConfig};
-use bprom_suite::faults::{
-    AdaptiveConfig, AdaptiveOracle, FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack,
-    Transient,
-};
+use bprom_suite::faults::{AdaptiveConfig, AdaptiveOracle, FaultProfile};
 use bprom_suite::nn::models::{mlp, ModelSpec};
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::scenarios::{
-    build_backbone_zoo, evaluate_backbone_zoo, evaluate_backbone_zoo_via, BackboneScenarioConfig,
-    PromptedBackbone,
+    backbone_entries, build_backbone_zoo, BackboneScenarioConfig, PromptedBackbone,
 };
 use bprom_suite::tensor::{Rng, Tensor};
 use bprom_suite::vp::{
@@ -99,35 +95,31 @@ fn run_regime_pipeline(regime: OracleRegime, hostility: Hostility) -> DetectionR
         ..TrainConfig::default()
     };
     let zoo = build_suspicious_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = match hostility {
-        Hostility::None => evaluate_detector(&detector, zoo, &mut rng).unwrap(),
-        // The hostile stack: 10 % transient drops absorbed by bounded
-        // retries, responses quantized to 3 decimals. Fault draws are
-        // keyed on query content (never arrival order), so this is as
-        // schedule-invariant as the fault-free pipeline.
-        Hostility::Faulty => {
-            evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-                let plan = Stack(vec![
-                    Box::new(Transient { rate: 0.1 }),
-                    Box::new(Quantize { decimals: 3 }),
-                ]);
-                let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-                let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-                detector.inspect(&retrying, rng)
-            })
-            .unwrap()
-        }
-        // The adaptive attacker's probe tests and fabricated answers are
-        // pure functions of batch content, so evasion decisions cannot
-        // depend on worker scheduling either.
-        Hostility::Adaptive => {
-            evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
+    let entries = downstream_entries(zoo, config.source_dataset.num_classes());
+    let mut report = evaluate_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, rng, _| match hostility {
+            Hostility::None => detector.inspect(&oracle, rng),
+            // The hostile stack: 10 % transient drops absorbed by bounded
+            // retries, responses quantized to 3 decimals. Fault draws are
+            // keyed on query content (never arrival order), so this is as
+            // schedule-invariant as the fault-free pipeline.
+            Hostility::Faulty => {
+                FaultProfile::Hostile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, rng))
+            }
+            // The adaptive attacker's probe tests and fabricated answers
+            // are pure functions of batch content, so evasion decisions
+            // cannot depend on worker scheduling either.
+            Hostility::Adaptive => {
                 let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
                 detector.inspect(&adaptive, rng)
-            })
-            .unwrap()
-        }
-    };
+            }
+        },
+    )
+    .unwrap();
     // Wall-clock is the one legitimately nondeterministic field; zero it
     // so the comparison below covers everything else byte-for-byte.
     report.mean_inspect_ms = 0.0;
@@ -264,20 +256,19 @@ fn run_backbone_pipeline(hostile: bool) -> DetectionReport {
         ..PromptTrainConfig::default()
     };
     let zoo = build_backbone_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = if hostile {
-        evaluate_backbone_zoo_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap()
+    let profile = if hostile {
+        FaultProfile::Hostile
     } else {
-        evaluate_backbone_zoo(&detector, zoo, &mut rng).unwrap()
+        FaultProfile::Off
     };
+    let mut report = evaluate_zoo(
+        &detector,
+        Scenario::Backbone,
+        backbone_entries(zoo),
+        &mut rng,
+        |detector, oracle, rng, _| profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, rng)),
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }

@@ -15,21 +15,19 @@
 
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
-    build_suspicious_zoo, evaluate_detector, evaluate_detector_via, Bprom, BpromConfig,
-    CacheConfig, DetectionReport, OracleRegime, Verdict, ZooConfig,
+    build_suspicious_zoo, downstream_entries, evaluate_zoo, Bprom, BpromConfig, CacheConfig,
+    DetectionReport, OracleRegime, Scenario, Verdict, ZooConfig,
 };
 use bprom_suite::data::SynthDataset;
 use bprom_suite::faults::{
-    AdaptiveConfig, AdaptiveOracle, FaultyOracle, Quantize, RetryPolicy, RetryingOracle, Stack,
+    AdaptiveConfig, AdaptiveOracle, FaultProfile, FaultyOracle, RetryPolicy, RetryingOracle,
     Transient,
 };
 use bprom_suite::nn::models::{mlp, ModelSpec};
 use bprom_suite::nn::TrainConfig;
 use bprom_suite::par;
 use bprom_suite::qcache::CachingOracle;
-use bprom_suite::scenarios::{
-    build_backbone_zoo, evaluate_backbone_zoo, evaluate_backbone_zoo_via, BackboneScenarioConfig,
-};
+use bprom_suite::scenarios::{backbone_entries, build_backbone_zoo, BackboneScenarioConfig};
 use bprom_suite::tensor::{Rng, Tensor};
 use bprom_suite::vp::{BlackBoxModel, PromptStyle, PromptTrainConfig, QueryOracle};
 use std::sync::Mutex;
@@ -272,15 +270,9 @@ fn pipeline_verdicts_are_mode_invariant() {
 
         // Hostile leg: retry → faults stacked above a fresh cache.
         let cached = CachingOracle::new(QueryOracle::new(model, num_classes), mode);
-        let verdict = {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&cached, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, &mut Rng::new(7)).unwrap()
-        };
+        let verdict = FaultProfile::Hostile.wrap(&cached, 0xFA17, |o| {
+            detector.inspect(o, &mut Rng::new(7)).unwrap()
+        });
         hostile.push(verdict);
         model = cached.into_inner().into_inner();
     }
@@ -353,29 +345,30 @@ fn run_regime_pipeline(
         ..TrainConfig::default()
     };
     let zoo = build_suspicious_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = if adaptive {
-        // Adaptive attacker above the detector's own cache: evasion
-        // decisions are pure functions of batch content, so they cannot
-        // observe (or leak) the cache mode.
-        evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
-            detector.inspect(&adaptive, rng)
-        })
-        .unwrap()
-    } else if hostile {
-        evaluate_detector_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap()
+    let profile = if hostile {
+        FaultProfile::Hostile
     } else {
-        evaluate_detector(&detector, zoo, &mut rng).unwrap()
+        FaultProfile::Off
     };
+    let entries = downstream_entries(zoo, config.source_dataset.num_classes());
+    let mut report = evaluate_zoo(
+        &detector,
+        Scenario::Downstream,
+        entries,
+        &mut rng,
+        |detector, oracle, rng, _| {
+            if adaptive {
+                // Adaptive attacker above the detector's own cache:
+                // evasion decisions are pure functions of batch content,
+                // so they cannot observe (or leak) the cache mode.
+                let adaptive = AdaptiveOracle::new(&oracle, AdaptiveConfig::default(), 0xADA9);
+                detector.inspect(&adaptive, rng)
+            } else {
+                profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, rng))
+            }
+        },
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }
@@ -503,20 +496,19 @@ fn run_backbone_pipeline(hostile: bool, cache: CacheConfig) -> DetectionReport {
         ..PromptTrainConfig::default()
     };
     let zoo = build_backbone_zoo(&zoo_cfg, &mut rng).unwrap();
-    let mut report = if hostile {
-        evaluate_backbone_zoo_via(&detector, zoo, &mut rng, |detector, oracle, rng| {
-            let plan = Stack(vec![
-                Box::new(Transient { rate: 0.1 }),
-                Box::new(Quantize { decimals: 3 }),
-            ]);
-            let faulty = FaultyOracle::new(&oracle, plan, 0xFA17);
-            let retrying = RetryingOracle::new(&faulty, RetryPolicy::default());
-            detector.inspect(&retrying, rng)
-        })
-        .unwrap()
+    let profile = if hostile {
+        FaultProfile::Hostile
     } else {
-        evaluate_backbone_zoo(&detector, zoo, &mut rng).unwrap()
+        FaultProfile::Off
     };
+    let mut report = evaluate_zoo(
+        &detector,
+        Scenario::Backbone,
+        backbone_entries(zoo),
+        &mut rng,
+        |detector, oracle, rng, _| profile.wrap(&oracle, 0xFA17, |o| detector.inspect(o, rng)),
+    )
+    .unwrap();
     report.mean_inspect_ms = 0.0;
     report
 }

@@ -14,6 +14,8 @@
 //! BPROM_BLESS=1 cargo test --test regimes
 //! ```
 
+mod common;
+
 use bprom_suite::attacks::AttackKind;
 use bprom_suite::bprom::{
     build_suspicious_zoo, evaluate_detector, Bprom, BpromConfig, CacheConfig, DetectionReport,
@@ -71,23 +73,6 @@ fn regime_report(regime: OracleRegime) -> DetectionReport {
     report
 }
 
-fn diff_lines(want: &str, got: &str) -> Option<String> {
-    if want == got {
-        return None;
-    }
-    let want_lines: Vec<&str> = want.lines().collect();
-    let got_lines: Vec<&str> = got.lines().collect();
-    let mut out = String::new();
-    for i in 0..want_lines.len().max(got_lines.len()) {
-        let w = want_lines.get(i).copied().unwrap_or("<missing>");
-        let g = got_lines.get(i).copied().unwrap_or("<missing>");
-        if w != g {
-            out.push_str(&format!("  line {}:\n    -{w}\n    +{g}\n", i + 1));
-        }
-    }
-    Some(out)
-}
-
 /// Every audit of a degraded-regime run records the regime on its audit
 /// record, and the incident report it rolls into is schema-valid and
 /// carries the regime on the model incident.
@@ -117,28 +102,7 @@ fn label_only_golden_fixture() {
     assert!(report.total_queries > 0);
 
     let got = report.to_json().unwrap();
-    let path = fixture_path();
-    if std::env::var("BPROM_BLESS").as_deref() == Ok("1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing label-only golden fixture {} ({e}); regenerate with \
-             BPROM_BLESS=1 cargo test --test regimes",
-            path.display()
-        )
-    });
-    if let Some(diff) = diff_lines(&want, &got) {
-        panic!(
-            "label-only detection report drifted from {} \
-             (-fixture / +current):\n{diff}\
-             If the change is intentional, re-bless with \
-             BPROM_BLESS=1 cargo test --test regimes",
-            path.display()
-        );
-    }
+    common::assert_golden(&fixture_path(), &got, "label-only detection report");
 }
 
 /// The committed fixture parses back through the typed API and really is
@@ -146,13 +110,7 @@ fn label_only_golden_fixture() {
 #[test]
 fn label_only_fixture_parses_and_records_regime() {
     let path = fixture_path();
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing label-only golden fixture {} ({e}); regenerate with \
-             BPROM_BLESS=1 cargo test --test regimes",
-            path.display()
-        )
-    });
+    let want = common::read_fixture(&path);
     let report = DetectionReport::from_json(&want).unwrap();
     assert_eq!(report.scores.len(), 2);
     assert_eq!(report.audits.len(), 2);
